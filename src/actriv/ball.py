@@ -29,6 +29,7 @@ from .presentations import (
     AcMove,
     MoveSequence,
     Presentation,
+    apply_to_relators,
     canonical_relators,
     enumerate_moves,
     inverse_moves,
@@ -37,8 +38,6 @@ from .presentations import (
 from .words import (
     Word,
     canonical_rep,
-    concat_reduce,
-    conjugate_word,
     invert_word,
     is_cyclically_reduced,
     shortlex_key,
@@ -91,6 +90,11 @@ class Ball:
         return census
 
 
+class BallPathError(RuntimeError):
+    """Raised by ``lookup`` when the ball's parent links do not form a path
+    back to the trivial class, i.e. the ball is corrupt."""
+
+
 class BallCapacityError(RuntimeError):
     """Raised when the member cap is hit; carries the partial ball."""
 
@@ -124,21 +128,13 @@ def build_ball(
         key, depth, total = queue.popleft()
         child_depth = depth + 1
         for m in moves:
-            kind, i, x = m
-            w = key[i]
-            if kind == INVERT:
-                new_w = invert_word(w)
-            elif kind == MULTIPLY:
-                new_w = concat_reduce(w, key[x])
-            else:
-                new_w = conjugate_word(w, x)
-            new_total = total - len(w) + len(new_w)
+            rels = list(key)
+            new_total = total + apply_to_relators(rels, m)
             if new_total > max_total_length:
                 continue
-            rest = key[:i] + key[i + 1 :]
-            child = tuple(
-                sorted(rest + (canonical_rep(new_w),), key=shortlex_key)
-            )
+            i = m[1]
+            rels[i] = canonical_rep(rels[i])
+            child = tuple(sorted(rels, key=shortlex_key))
             if child in ball.members:
                 continue
             ball.members[child] = (child_depth, key, m)
@@ -202,13 +198,9 @@ def _rotation_path(w: Word, target: Word, i: int) -> list[AcMove] | None:
     n = len(w)
     for k in range(1, n):
         if doubled[k : k + n] == target:
-            moves = []
-            cur = w
-            for _ in range(k):
-                c = -cur[0]
-                moves.append((CONJUGATE, i, c))
-                cur = conjugate_word(cur, c)
-            return moves
+            # conjugating a cyclically reduced word by the inverse of its
+            # first letter rotates it left by one
+            return [(CONJUGATE, i, -w[j]) for j in range(k)]
     return None
 
 
@@ -220,7 +212,7 @@ def _moves_to_canonical(w: Word, i: int) -> list[AcMove]:
         return path
     path = _rotation_path(invert_word(w), target, i)
     if path is None:
-        raise AssertionError("canonical representative unreachable by rotation")
+        raise BallPathError("canonical representative unreachable by rotation")
     return [(INVERT, i, 0)] + path
 
 
@@ -229,16 +221,6 @@ def _invert_move_list(moves: list[AcMove]) -> list[AcMove]:
     for kind, i, x in reversed(moves):
         out.append((kind, i, -x) if kind == CONJUGATE else (kind, i, x))
     return out
-
-
-def _apply_to_relators(rels: list[Word], m: AcMove) -> None:
-    kind, i, x = m
-    if kind == INVERT:
-        rels[i] = invert_word(rels[i])
-    elif kind == MULTIPLY:
-        rels[i] = concat_reduce(rels[i], rels[x])
-    else:
-        rels[i] = conjugate_word(rels[i], x)
 
 
 def _align(current: list[Word], target: BallKey, path: list[AcMove]) -> list[int]:
@@ -257,16 +239,16 @@ def _align(current: list[Word], target: BallKey, path: list[AcMove]) -> list[int
                 perm[j] = i
                 break
         else:
-            raise AssertionError("presentations are not in the same class")
+            raise BallPathError("presentations are not in the same class")
     for j in range(n):
         i = perm[j]
         moves = _moves_to_canonical(current[i], i)
         moves += _invert_move_list(_moves_to_canonical(target[j], i))
         for m in moves:
-            _apply_to_relators(current, m)
+            apply_to_relators(current, m)
             path.append(m)
         if current[i] != target[j]:
-            raise AssertionError("relator alignment failed")
+            raise BallPathError("relator alignment failed")
     return perm
 
 
@@ -285,7 +267,7 @@ def lookup(ball: Ball, p: Presentation) -> tuple[int, MoveSequence] | None:
         if parent is None:
             break
         raw_child = list(parent)
-        _apply_to_relators(raw_child, move)
+        apply_to_relators(raw_child, move)
         perm = _align(current, tuple(raw_child), path)
         for inv_kind, inv_i, inv_x in inverse_moves(move):
             remapped = (
@@ -293,7 +275,7 @@ def lookup(ball: Ball, p: Presentation) -> tuple[int, MoveSequence] | None:
                 perm[inv_i],
                 perm[inv_x] if inv_kind == MULTIPLY else inv_x,
             )
-            _apply_to_relators(current, remapped)
+            apply_to_relators(current, remapped)
             path.append(remapped)
         key = parent
     return depth, tuple(path)
@@ -338,9 +320,25 @@ def load_ball(path: str) -> Ball:
             key = p.relators
             if key != canonical_relators(key):
                 raise ValueError(f"{path}:{line_no}: presentation not canonical")
-            parent = None if parent_idx == "-1" else order[int(parent_idx)]
+            if key in ball.members:
+                raise ValueError(f"{path}:{line_no}: duplicate presentation")
+            depth = int(depth)
+            if parent_idx == "-1":
+                parent, parent_depth = None, -1
+            else:
+                idx = int(parent_idx)
+                if not 0 <= idx < len(order):
+                    raise ValueError(
+                        f"{path}:{line_no}: parent index {idx} is not an earlier member"
+                    )
+                parent = order[idx]
+                parent_depth = ball.members[parent][0]
+            if depth != parent_depth + 1:
+                raise ValueError(
+                    f"{path}:{line_no}: depth {depth} is not parent depth + 1"
+                )
             move = None if code == "-" else notation.parse_move(code, ball.rank)
-            ball.members[key] = (int(depth), parent, move)
+            ball.members[key] = (depth, parent, move)
             order.append(key)
     if not ball.members:
         raise ValueError(f"{path}: empty ball file")

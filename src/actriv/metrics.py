@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 
 from . import notation
 from .ball import TrainingSet, _atomic_write, _parse_header
-from .presentations import (
-    CONJUGATE,
-    INVERT,
-    MoveSequence,
-    Presentation,
-)
+from .presentations import MoveSequence, Presentation, apply_to_relators
 from .variation import mutate, random_sequence
 
 # Strictly below any real correlation; keeps selection total when a
@@ -77,27 +72,8 @@ def metric_value(d: MoveSequence, p: Presentation, cap: int) -> int:
     total = sum(map(len, rels))
     if total >= cap:
         return cap
-    for kind, i, x in d:
-        w = rels[i]
-        if kind == INVERT:
-            rels[i] = tuple(-t for t in reversed(w))
-            continue
-        if kind == CONJUGATE:
-            if w and w[0] == -x:
-                u = w[1:]
-            else:
-                u = (x,) + w
-            new = u[:-1] if (u and u[-1] == x) else u + (-x,)
-        else:
-            v = rels[x]
-            k = 0
-            lu, lv = len(w), len(v)
-            m = lu if lu < lv else lv
-            while k < m and w[lu - 1 - k] == -v[k]:
-                k += 1
-            new = (w[: lu - k] + v[k:]) if k else w + v
-        total += len(new) - len(w)
-        rels[i] = new
+    for m in d:
+        total += apply_to_relators(rels, m)
         if total >= cap:
             return cap
     return total

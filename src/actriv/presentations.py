@@ -26,7 +26,6 @@ from .words import (
     Word,
     canonical_rep,
     concat_reduce,
-    conjugate_word,
     free_reduce,
     invert_word,
     shortlex_key,
@@ -139,19 +138,38 @@ def inverse_moves(m: AcMove) -> list[AcMove]:
     return [(INVERT, x, 0), (MULTIPLY, i, x), (INVERT, x, 0)]
 
 
+def apply_to_relators(rels: list[Word], m: AcMove) -> int:
+    """Apply m in place to the relator list rels; return the change in
+    total relator length.  The move is not validated (see check_move).
+
+    This is the one place that rewrites a relator by move kind; every
+    caller, hot loops included, goes through it.
+    """
+    kind, i, x = m
+    w = rels[i]
+    if kind == CONJUGATE:
+        # freely reduced x * w * x^-1, written out here because
+        # conjugations are 2n² of the 3n² moves
+        if w and w[0] == -x:
+            u = w[1:]
+        else:
+            u = (x,) + w
+        new = u[:-1] if (u and u[-1] == x) else u + (-x,)
+    elif kind == INVERT:
+        rels[i] = invert_word(w)
+        return 0
+    else:
+        new = concat_reduce(w, rels[x])
+    rels[i] = new
+    return len(new) - len(w)
+
+
 def apply_move(p: Presentation, m: AcMove) -> Presentation:
     """Apply one move, replacing exactly one relator."""
     check_move(m, p.rank)
-    kind, i, x = m
-    rels = p.relators
-    w = rels[i]
-    if kind == INVERT:
-        new = invert_word(w)
-    elif kind == MULTIPLY:
-        new = concat_reduce(w, rels[x])
-    else:
-        new = conjugate_word(w, x)
-    return Presentation(p.rank, rels[:i] + (new,) + rels[i + 1 :])
+    rels = list(p.relators)
+    apply_to_relators(rels, m)
+    return Presentation(p.rank, tuple(rels))
 
 
 @dataclass

@@ -29,10 +29,9 @@ from . import notation
 from .ball import Ball, _atomic_write
 from .ensemble import ObjectiveSet, ScalarEnsemble, objective_values
 from .presentations import (
-    CONJUGATE,
-    INVERT,
     MoveSequence,
     Presentation,
+    apply_to_relators,
     canonical_relators,
 )
 from .variation import mutate, random_sequence
@@ -132,29 +131,8 @@ def evaluate_candidate(
         return Evaluation("success", prefix_length=0)
     if total >= length_cap:
         return Evaluation("penalized", "relator_cap")
-    for step, (kind, i, x) in enumerate(s, start=1):
-        w = rels[i]
-        if kind == INVERT:
-            rels[i] = tuple(-t for t in reversed(w))
-            if total <= ball_cap and canonical_relators(rels) in members:
-                return Evaluation("success", prefix_length=step)
-            continue
-        if kind == CONJUGATE:
-            if w and w[0] == -x:
-                u = w[1:]
-            else:
-                u = (x,) + w
-            new = u[:-1] if (u and u[-1] == x) else u + (-x,)
-        else:
-            v = rels[x]
-            k = 0
-            lu, lv = len(w), len(v)
-            m = lu if lu < lv else lv
-            while k < m and w[lu - 1 - k] == -v[k]:
-                k += 1
-            new = (w[: lu - k] + v[k:]) if k else w + v
-        total += len(new) - len(w)
-        rels[i] = new
+    for step, m in enumerate(s, start=1):
+        total += apply_to_relators(rels, m)
         if total <= ball_cap and canonical_relators(rels) in members:
             return Evaluation("success", prefix_length=step)
         if total >= length_cap:

@@ -12,24 +12,12 @@ positive letter before its inverse (a < A < b < B < ...).
 
 from __future__ import annotations
 
+import operator
+
 Letter = int
 Word = tuple[int, ...]
 
 EMPTY: Word = ()
-
-
-def make_letter(gen_index: int, sign: int) -> Letter:
-    """Letter for 0-based generator index and sign +1/-1."""
-    if gen_index < 0:
-        raise ValueError(f"generator index must be >= 0, got {gen_index}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return sign * (gen_index + 1)
-
-
-def gen_index(letter: Letter) -> int:
-    """0-based generator index of a letter."""
-    return abs(letter) - 1
 
 
 def letter_key(letter: Letter) -> int:
@@ -55,7 +43,7 @@ def free_reduce(raw) -> Word:
 
 def invert_word(w: Word) -> Word:
     """Group inverse: reversed order, every sign flipped."""
-    return tuple(-x for x in reversed(w))
+    return tuple(map(operator.neg, reversed(w)))
 
 
 def concat_reduce(u: Word, v: Word) -> Word:
@@ -72,17 +60,6 @@ def concat_reduce(u: Word, v: Word) -> Word:
     if k == 0:
         return u + v
     return u[: lu - k] + v[k:]
-
-
-def conjugate_word(w: Word, c: Letter) -> Word:
-    """Freely reduced c * w * c^-1 for a single letter c and reduced w."""
-    if w and w[0] == -c:
-        u = w[1:]
-    else:
-        u = (c,) + w
-    if u and u[-1] == c:
-        return u[:-1]
-    return u + (-c,)
 
 
 def shortlex_key(w: Word) -> tuple:

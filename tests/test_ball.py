@@ -5,6 +5,7 @@ import pytest
 from actriv.ball import (
     Ball,
     BallCapacityError,
+    BallPathError,
     build_ball,
     load_ball,
     load_training,
@@ -16,14 +17,12 @@ from actriv.ball import (
 from actriv.catalog import get_instance
 from actriv.presentations import (
     Presentation,
-    apply_move,
-    apply_sequence,
     canonical_form,
     canonical_relators,
     enumerate_moves,
-    total_length,
     trivial_presentation,
 )
+from reference_moves import reference_apply, reference_trace, total
 
 
 def reference_bfs(rank, max_total_length, max_depth, seed=0):
@@ -43,10 +42,10 @@ def reference_bfs(rank, max_total_length, max_depth, seed=0):
             shuffled = moves[:]
             rng.shuffle(shuffled)
             for m in shuffled:
-                child = apply_move(Presentation(rank, key), m)
-                if total_length(child) > max_total_length:
+                child = reference_apply(key, m)
+                if total(child) > max_total_length:
                     continue
-                ck = canonical_form(child).relators
+                ck = canonical_relators(child)
                 if ck not in depths:
                     depths[ck] = depth + 1
                     found.append(ck)
@@ -63,13 +62,13 @@ class TestBuildBall:
 
     def test_depth_one_census(self):
         # brute force: distinct canonical non-trivial neighbors of length <= 4
-        trivial = trivial_presentation(2)
+        trivial = trivial_presentation(2).relators
         neighbors = set()
         for m in enumerate_moves(2):
-            child = apply_move(trivial, m)
-            if total_length(child) <= 4:
-                neighbors.add(canonical_form(child).relators)
-        neighbors.discard(canonical_relators(trivial.relators))
+            child = reference_apply(trivial, m)
+            if total(child) <= 4:
+                neighbors.add(canonical_relators(child))
+        neighbors.discard(canonical_relators(trivial))
         ball = build_ball(2, 4, 1)
         assert len(ball) == 1 + len(neighbors)
 
@@ -119,8 +118,7 @@ class TestBuildBall:
                 assert depth == 0
                 continue
             assert ball.members[parent][0] == depth - 1
-            child = apply_move(Presentation(2, parent), move)
-            assert canonical_relators(child.relators) == key
+            assert canonical_relators(reference_apply(parent, move)) == key
 
 
 class TestSampling:
@@ -156,6 +154,13 @@ class TestSampling:
             sample_cases(ball, len(ball) + 1, rng_seed=0)
 
 
+def replayed_class(rels, path):
+    return canonical_relators(list(reference_trace(rels, path))[-1])
+
+
+TRIVIAL_CLASS = canonical_relators(trivial_presentation(2).relators)
+
+
 class TestLookup:
     def test_trivial(self):
         ball = build_ball(2, 6, 3)
@@ -165,39 +170,45 @@ class TestLookup:
 
     def test_depth_one_members(self):
         ball = build_ball(2, 6, 3)
-        trivial_class = canonical_form(trivial_presentation(2))
         for key, (depth, _, _) in ball.members.items():
             if depth != 1:
                 continue
             d, path = lookup(ball, Presentation(2, key))
             assert d == 1
-            final = apply_sequence(Presentation(2, key), path, 10**6).final
-            assert canonical_form(final) == trivial_class
+            assert replayed_class(key, path) == TRIVIAL_CLASS
 
     def test_path_soundness_random_members(self):
         ball = build_ball(2, 10, 5)
-        trivial_class = canonical_form(trivial_presentation(2))
         rng = random.Random(13)
         keys = rng.sample(list(ball.members), 60)
         for key in keys:
             _, path = lookup(ball, Presentation(2, key))
-            final = apply_sequence(Presentation(2, key), path, 10**6).final
-            assert canonical_form(final) == trivial_class
+            assert replayed_class(key, path) == TRIVIAL_CLASS
 
     def test_path_soundness_noncanonical_representative(self):
         # lookup must work from any member of the class, not just the
         # canonical representative
         ball = build_ball(2, 8, 4)
-        p = apply_move(trivial_presentation(2), enumerate_moves(2)[5])
-        q = apply_move(p, enumerate_moves(2)[7])
-        if q in ball:
-            _, path = lookup(ball, q)
-            final = apply_sequence(q, path, 10**6).final
-            assert canonical_form(final) == canonical_form(trivial_presentation(2))
+        moves = enumerate_moves(2)
+        p = reference_apply(trivial_presentation(2).relators, moves[5])
+        q = reference_apply(p, moves[7])
+        if Presentation(2, q) in ball:
+            _, path = lookup(ball, Presentation(2, q))
+            assert replayed_class(q, path) == TRIVIAL_CLASS
 
     def test_absent(self):
         ball = build_ball(2, 8, 4)
         assert lookup(ball, get_instance("AK3").presentation) is None
+
+    def test_corrupt_parent_link_raises(self):
+        ball = build_ball(2, 6, 3)
+        key, (depth, _, move) = next(
+            (k, info) for k, info in ball.members.items() if info[0] == 2
+        )
+        # the move from the trivial class lands at depth 1, never on key
+        ball.members[key] = (depth, TRIVIAL_CLASS, move)
+        with pytest.raises(BallPathError):
+            lookup(ball, Presentation(2, key))
 
 
 class TestPersistence:
@@ -219,6 +230,43 @@ class TestPersistence:
         loaded = load_training(path)
         assert loaded.rank == training.rank
         assert loaded.cases == training.cases
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (2, "-2", "parent index -2"),
+            (2, "9999", "parent index 9999"),
+            (2, "7", "parent index 7"),
+            (2, "-1", "depth 2"),
+            (2, "0", "depth 2"),
+            (1, "3", "depth 3"),
+        ],
+    )
+    def test_rejects_bad_parent_link(self, tmp_path, field, value, message):
+        ball = build_ball(2, 6, 2)
+        path = tmp_path / "ball.tsv"
+        save_ball(ball, str(path))
+        lines = path.read_text().splitlines()
+        # lines[8] holds member 7, a depth-2 child of member 1
+        cells = lines[8].split("\t")
+        assert cells[1:3] == ["2", "1"]
+        cells[field] = value
+        lines[8] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"ball.tsv:9: {message}"):
+            load_ball(str(path))
+
+    def test_rejects_duplicate_member(self, tmp_path):
+        ball = build_ball(2, 6, 2)
+        path = tmp_path / "ball.tsv"
+        save_ball(ball, str(path))
+        lines = path.read_text().splitlines()
+        # a second line for member 2 (lines[3]), as a depth-2 child of member 1
+        text = lines[3].split("\t")[0]
+        lines.append("\t".join([text, "2", "1", "inv:0"]))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"ball.tsv:{len(lines)}: duplicate"):
+            load_ball(str(path))
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.tsv"

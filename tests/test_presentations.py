@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from actriv.catalog import get_instance, known_trivializations
 from actriv.notation import format_presentation, parse_presentation
@@ -10,6 +11,7 @@ from actriv.presentations import (
     MULTIPLY,
     apply_move,
     apply_sequence,
+    apply_to_relators,
     canonical_form,
     conjugate_move,
     enumerate_moves,
@@ -20,7 +22,8 @@ from actriv.presentations import (
     total_length,
     trivial_presentation,
 )
-from actriv.words import shortlex_key
+from actriv.words import free_reduce, shortlex_key
+from reference_moves import reference_apply, total
 
 
 def P(text):
@@ -90,9 +93,25 @@ class TestApplyMove:
             apply_move(trivial_presentation(2), (CONJUGATE, 0, 3))
 
 
-def random_presentation(rng, rank=2, max_len=8):
-    from actriv.words import free_reduce
+@st.composite
+def relator_lists(draw):
+    rank = draw(st.sampled_from([2, 3]))
+    letters = st.sampled_from([s * g for g in range(1, rank + 1) for s in (1, -1)])
+    return [free_reduce(draw(st.lists(letters, max_size=16))) for _ in range(rank)]
 
+
+class TestApplyToRelators:
+    @given(relator_lists())
+    def test_matches_reference_for_every_move(self, rels):
+        for m in enumerate_moves(len(rels)):
+            out = list(rels)
+            delta = apply_to_relators(out, m)
+            expected = reference_apply(rels, m)
+            assert tuple(out) == expected
+            assert delta == total(expected) - total(rels)
+
+
+def random_presentation(rng, rank=2, max_len=8):
     relators = []
     for _ in range(rank):
         raw = [

@@ -14,7 +14,10 @@ from actriv.ensemble import (
 from actriv.metrics import MetricSet
 from actriv.presentations import (
     Presentation,
+    canonical_relators,
     conjugate_move,
+    enumerate_moves,
+    inverse_moves,
     invert_move,
     multiply_move,
 )
@@ -32,6 +35,7 @@ from actriv.solver import (
     write_summary_csv,
     _selection_keys,
 )
+from reference_moves import reference_apply, reference_trace, total
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +188,34 @@ class TestCrowding:
         assert crowding_distance([(1, 1), (1, 1)]) == [math.inf, math.inf]
 
 
+def reference_evaluation(s, instance, ball, cfg):
+    """(status, reason, prefix_length) of evaluate_candidate, by replaying s
+    through the reference moves and testing ball membership at every step."""
+    if len(s) < cfg.min_length:
+        return "penalized", "too_short", None
+    if len(s) > cfg.max_length:
+        return "penalized", "too_long", None
+    for step, rels in enumerate(reference_trace(instance.relators, s)):
+        if canonical_relators(rels) in ball.members:
+            return "success", None, step
+        if total(rels) >= cfg.relator_length_cap:
+            return "penalized", "relator_cap", None
+    return "ok", None, None
+
+
+def near_ball_case(ball, rng):
+    """A start a few random moves away from a ball member, and a sequence
+    that undoes those moves, then wanders off."""
+    moves = enumerate_moves(2)
+    rels = rng.choice(list(ball.members))
+    walk = [rng.choice(moves) for _ in range(rng.randrange(1, 6))]
+    for m in walk:
+        rels = reference_apply(rels, m)
+    undo = [inv for m in reversed(walk) for inv in inverse_moves(m)]
+    tail = random_sequence(2, rng.randrange(0, 20), rng)
+    return Presentation(2, rels), tuple(undo) + tail
+
+
 class TestEvaluateCandidate:
     def test_too_short_penalized(self, small_ball, scalar_model):
         cfg = tiny_config()
@@ -242,6 +274,29 @@ class TestEvaluateCandidate:
         )
         assert out.status == "ok"
         assert out.scalar is not None
+
+    def test_matches_reference_replay(self, small_ball, scalar_model):
+        rng = random.Random(17)
+        starts = [get_instance(name).presentation for name in ("T1", "T13", "AK3")]
+        seen = set()
+        for trial in range(400):
+            cfg = tiny_config(relator_length_cap=rng.choice([20, 40, 200]))
+            if trial % 2:
+                instance, s = near_ball_case(small_ball, rng)
+            else:
+                instance = rng.choice(starts)
+                s = random_sequence(2, rng.randrange(6, 74), rng)
+            out = evaluate_candidate(s, instance, scalar_model, small_ball, cfg)
+            expected = reference_evaluation(s, instance, small_ball, cfg)
+            assert (out.status, out.reason, out.prefix_length) == expected
+            seen.add(expected[:2])
+        assert seen == {
+            ("ok", None),
+            ("success", None),
+            ("penalized", "too_short"),
+            ("penalized", "too_long"),
+            ("penalized", "relator_cap"),
+        }
 
     def test_ok_multi_mode(self, small_ball, objective_model):
         cfg = tiny_config(mode="multi")

@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from actriv.presentations import CONJUGATE, apply_to_relators
 from actriv.words import (
     canonical_rep,
     concat_reduce,
-    conjugate_word,
     free_reduce,
     invert_word,
     is_cyclically_reduced,
@@ -107,7 +107,10 @@ class TestConcat:
 class TestConjugate:
     @given(words, letters)
     def test_matches_definition(self, w, c):
-        assert conjugate_word(w, c) == free_reduce((c,) + w + (-c,))
+        rels = [w]
+        delta = apply_to_relators(rels, (CONJUGATE, 0, c))
+        assert rels[0] == free_reduce((c,) + w + (-c,))
+        assert delta == len(rels[0]) - len(w)
 
 
 class TestShortlex:

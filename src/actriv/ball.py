@@ -306,38 +306,40 @@ def load_ball(path: str) -> Ball:
         header = fh.readline()
         params = _parse_header(header, "actriv-ball", path)
         ball = Ball(
-            rank=int(params["rank"]),
-            max_total_length=int(params["max_total_length"]),
-            max_depth=int(params["max_depth"]),
+            rank=_header_int(params, "rank", path),
+            max_total_length=_header_int(params, "max_total_length", path),
+            max_depth=_header_int(params, "max_depth", path),
         )
         order: list[BallKey] = []
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            text, depth, parent_idx, code = line.split("\t")
-            p = notation.parse_presentation(text)
-            key = p.relators
+            where = f"{path}:{line_no}"
+            text, depth, parent_idx, code = _split_fields(line, 4, where)
+            key = _located(where, notation.parse_presentation, text).relators
             if key != canonical_relators(key):
-                raise ValueError(f"{path}:{line_no}: presentation not canonical")
+                raise ValueError(f"{where}: presentation not canonical")
             if key in ball.members:
-                raise ValueError(f"{path}:{line_no}: duplicate presentation")
-            depth = int(depth)
+                raise ValueError(f"{where}: duplicate presentation")
+            depth = _parse_int(depth, "depth", where)
             if parent_idx == "-1":
                 parent, parent_depth = None, -1
             else:
-                idx = int(parent_idx)
+                idx = _parse_int(parent_idx, "parent index", where)
                 if not 0 <= idx < len(order):
                     raise ValueError(
-                        f"{path}:{line_no}: parent index {idx} is not an earlier member"
+                        f"{where}: parent index {idx} is not an earlier member"
                     )
                 parent = order[idx]
                 parent_depth = ball.members[parent][0]
             if depth != parent_depth + 1:
-                raise ValueError(
-                    f"{path}:{line_no}: depth {depth} is not parent depth + 1"
-                )
-            move = None if code == "-" else notation.parse_move(code, ball.rank)
+                raise ValueError(f"{where}: depth {depth} is not parent depth + 1")
+            move = (
+                None
+                if code == "-"
+                else _located(where, notation.parse_move, code, ball.rank)
+            )
             ball.members[key] = (depth, parent, move)
             order.append(key)
     if not ball.members:
@@ -356,14 +358,20 @@ def save_training(ts: TrainingSet, path: str) -> None:
 def load_training(path: str) -> TrainingSet:
     with open(path, encoding="utf-8") as fh:
         params = _parse_header(fh.readline(), "actriv-training", path)
-        rank = int(params["rank"])
+        rank = _header_int(params, "rank", path)
         cases = []
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            text, distance = line.split("\t")
-            cases.append(FitnessCase(notation.parse_presentation(text), int(distance)))
+            where = f"{path}:{line_no}"
+            text, distance = _split_fields(line, 2, where)
+            cases.append(
+                FitnessCase(
+                    _located(where, notation.parse_presentation, text),
+                    _parse_int(distance, "distance", where),
+                )
+            )
     return TrainingSet(rank, cases)
 
 
@@ -371,7 +379,43 @@ def _parse_header(line: str, tag: str, path: str) -> dict[str, str]:
     parts = line.strip().lstrip("#").split()
     if not parts or parts[0] != tag:
         raise ValueError(f"{path}: missing '{tag}' header")
-    return dict(part.split("=", 1) for part in parts[1:])
+    params = {}
+    for part in parts[1:]:
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise ValueError(f"{path}: header field {part!r} is not key=value")
+        params[key] = value
+    return params
+
+
+def _header_int(params: dict[str, str], key: str, path: str) -> int:
+    if key not in params:
+        raise ValueError(f"{path}: header has no '{key}'")
+    return _parse_int(params[key], f"header {key}", path)
+
+
+def _split_fields(line: str, count: int, where: str) -> list[str]:
+    fields = line.split("\t")
+    if len(fields) != count:
+        raise ValueError(
+            f"{where}: expected {count} tab-separated fields, got {len(fields)}"
+        )
+    return fields
+
+
+def _parse_int(text: str, what: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: {what} {text!r} is not an integer") from None
+
+
+def _located(where: str, parse, *args):
+    """``parse(*args)``, with a notation error re-raised naming ``where``."""
+    try:
+        return parse(*args)
+    except notation.NotationError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _atomic_write(path: str, content: str) -> None:

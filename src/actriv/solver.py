@@ -9,7 +9,9 @@ fitness and can never win a tournament against an unpenalized candidate.
 
 Selection is tournament-of-7 on the ensemble scalar (single-objective
 mode) or on Pareto rank with crowding-distance tie-break over the trimmed
-objectives (multi-objective mode, NSGA-II style).  Replacement is plain
+objectives (multi-objective mode, NSGA-II style).  The Pareto ranks come
+from a numpy boolean dominance matrix, so the sort needs O(n²) memory:
+about 1 MB per n x n matrix at population 1000.  Replacement is plain
 generational; the best-so-far candidate is tracked outside the population
 for reporting only.
 """
@@ -24,6 +26,8 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import notation
 from .ball import Ball, _atomic_write
@@ -147,6 +151,8 @@ def nondominated_sort(points) -> list[int]:
     """Pareto rank (0 = non-dominated front) of each point, minimization.
 
     x dominates y iff x <= y in every coordinate and x < y in at least one.
+    The ranks come from an n x n boolean dominance matrix, built one
+    objective at a time, whose fronts are peeled by dominator counts.
     """
     n = len(points)
     if n == 0:
@@ -154,34 +160,26 @@ def nondominated_sort(points) -> list[int]:
     dim = len(points[0])
     if any(len(p) != dim for p in points):
         raise ValueError("objective vectors have mismatched dimensions")
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    counts = [0] * n
-    for a in range(n):
-        pa = points[a]
-        for b in range(a + 1, n):
-            pb = points[b]
-            a_le_b = all(x <= y for x, y in zip(pa, pb))
-            b_le_a = all(y <= x for x, y in zip(pa, pb))
-            if a_le_b and not b_le_a:
-                dominated_by[a].append(b)
-                counts[b] += 1
-            elif b_le_a and not a_le_b:
-                dominated_by[b].append(a)
-                counts[a] += 1
-    ranks = [0] * n
-    front = [i for i in range(n) if counts[i] == 0]
+    values = np.asarray(points)
+    # dom[a, b]: a dominates b, i.e. a <= b everywhere and a < b somewhere
+    dom = np.ones((n, n), dtype=bool)
+    strict = np.zeros((n, n), dtype=bool)
+    for col in values.T:
+        dom &= col[:, None] <= col[None, :]
+        strict |= col[:, None] < col[None, :]
+    dom &= strict
+    counts = dom.sum(axis=0)
+    ranks = np.empty(n, dtype=np.intp)
+    front = np.flatnonzero(counts == 0)
     rank = 0
-    while front:
-        next_front = []
-        for i in front:
-            ranks[i] = rank
-            for j in dominated_by[i]:
-                counts[j] -= 1
-                if counts[j] == 0:
-                    next_front.append(j)
-        front = next_front
+    while front.size:
+        ranks[front] = rank
+        counts -= dom[front].sum(axis=0)
+        # a ranked point dominates nothing ranked before it, so -1 stays put
+        counts[front] = -1
+        front = np.flatnonzero(counts == 0)
         rank += 1
-    return ranks
+    return ranks.tolist()
 
 
 def crowding_distance(front) -> list[float]:

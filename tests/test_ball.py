@@ -256,6 +256,66 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"ball.tsv:9: {message}"):
             load_ball(str(path))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (1, "x", "depth 'x' is not an integer"),
+            (2, "y", "parent index 'y' is not an integer"),
+            (3, None, "expected 4 tab-separated fields, got 3"),
+            (0, "<a,b|ab,c>", "unknown generator symbol"),
+            (3, "mul:0:7", "bad move code 'mul:0:7'"),
+        ],
+    )
+    def test_rejects_malformed_line(self, tmp_path, field, value, message):
+        ball = build_ball(2, 6, 2)
+        path = tmp_path / "ball.tsv"
+        save_ball(ball, str(path))
+        lines = path.read_text().splitlines()
+        cells = lines[8].split("\t")
+        if value is None:
+            del cells[field]
+        else:
+            cells[field] = value
+        lines[8] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"ball.tsv:9: {message}"):
+            load_ball(str(path))
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("rank=2 max_depth=2", "header has no 'max_total_length'"),
+            ("rank=2 max_total_length=6 depth2", "header field 'depth2' is not"),
+            ("rank=two max_total_length=6 max_depth=2", "header rank 'two' is not"),
+        ],
+    )
+    def test_rejects_malformed_header(self, tmp_path, header, message):
+        path = tmp_path / "ball.tsv"
+        path.write_text(f"# actriv-ball {header}\n<a,b|a,b>\t0\t-1\t-\n")
+        with pytest.raises(ValueError, match=f"ball.tsv: {message}"):
+            load_ball(str(path))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("<a,b|a,b>", "expected 2 tab-separated fields, got 1"),
+            ("<a,b|a,b>\tnear", "distance 'near' is not an integer"),
+            ("<a,b|a>\t0", "unbalanced"),
+        ],
+        ids=["fields", "distance", "presentation"],
+    )
+    def test_training_rejects_malformed_line(self, tmp_path, line, message):
+        path = tmp_path / "train.tsv"
+        path.write_text(f"# actriv-training rank=2\n<a,b|b,a>\t0\n\n{line}\n")
+        with pytest.raises(ValueError, match=f"train.tsv:4: {message}"):
+            load_training(str(path))
+
+    def test_training_rejects_missing_rank(self, tmp_path):
+        path = tmp_path / "train.tsv"
+        path.write_text("# actriv-training\n<a,b|a,b>\t0\n")
+        with pytest.raises(ValueError, match="train.tsv: header has no 'rank'"):
+            load_training(str(path))
+
     def test_rejects_duplicate_member(self, tmp_path):
         ball = build_ball(2, 6, 2)
         path = tmp_path / "ball.tsv"

@@ -3,7 +3,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import actriv.solver as solver
 from actriv.ball import build_ball, sample_cases
 from actriv.catalog import get_instance, known_trivializations
 from actriv.ensemble import (
@@ -36,6 +38,7 @@ from actriv.solver import (
     _selection_keys,
 )
 from reference_moves import reference_apply, reference_trace, total
+from reference_nsga import reference_nondominated_sort
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +171,29 @@ def peel_oracle(points):
         remaining -= set(front)
         rank += 1
     return ranks
+
+
+# a coarse grid, so equal coordinates and duplicate points are common
+GRID = st.sampled_from([-math.inf, -1, 0, 0.5, 1, 2, math.inf])
+point_sets = st.integers(1, 6).flatmap(
+    lambda dim: st.lists(st.tuples(*[GRID] * dim), max_size=200)
+)
+
+
+class TestNondominatedSortAgainstReference:
+    @settings(deadline=None)
+    @given(point_sets)
+    def test_matches_reference(self, points):
+        ranks = nondominated_sort(points)
+        assert ranks == reference_nondominated_sort(points)
+        assert all(type(r) is int for r in ranks)
+
+    def test_population_scale(self):
+        rng = random.Random(1000)
+        points = [tuple(rng.randint(0, 200) for _ in range(5)) for _ in range(1000)]
+        ranks = nondominated_sort(points)
+        assert ranks == reference_nondominated_sort(points)
+        assert all(type(r) is int for r in ranks)
 
 
 class TestCrowding:
@@ -407,6 +433,34 @@ class TestRunSearch:
             get_instance("AK3").presentation, objective_model, small_ball, cfg, seed=4
         )
         assert out.outcome in ("exhausted", "solved")
+
+    def test_multi_mode_same_with_reference_sort(
+        self, small_ball, objective_model, monkeypatch
+    ):
+        """Pins a multi-mode run: the numpy sort must give the record and
+        the evaluated candidates, in order, of the pure-Python sort."""
+        ak3 = get_instance("AK3").presentation
+        cfg = tiny_config(mode="multi", population_size=60, max_generations=6)
+
+        def traced_run():
+            seen = []
+
+            def collecting(s, *args):
+                seen.append(s)
+                return evaluate_candidate(s, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "evaluate_candidate", collecting)
+                out = run_search(ak3, objective_model, small_ball, cfg, seed=11)
+            return result_record(out, ak3.rank), seen
+
+        shipped = traced_run()
+        assert shipped[0]["generations"] == cfg.max_generations
+        assert len(shipped[1]) == 7 * cfg.population_size
+        monkeypatch.setattr(
+            solver, "nondominated_sort", reference_nondominated_sort
+        )
+        assert traced_run() == shipped
 
     def test_model_mode_mismatch(self, small_ball, scalar_model, objective_model):
         cfg = tiny_config(mode="multi")

@@ -317,7 +317,7 @@ def load_ball(path: str) -> Ball:
                 continue
             where = f"{path}:{line_no}"
             text, depth, parent_idx, code = _split_fields(line, 4, where)
-            key = _located(where, notation.parse_presentation, text).relators
+            key = _parse_member(text, ball.rank, where).relators
             if key != canonical_relators(key):
                 raise ValueError(f"{where}: presentation not canonical")
             if key in ball.members:
@@ -368,7 +368,7 @@ def load_training(path: str) -> TrainingSet:
             text, distance = _split_fields(line, 2, where)
             cases.append(
                 FitnessCase(
-                    _located(where, notation.parse_presentation, text),
+                    _parse_member(text, rank, where),
                     _parse_int(distance, "distance", where),
                 )
             )
@@ -408,6 +408,28 @@ def _parse_int(text: str, what: str, where: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"{where}: {what} {text!r} is not an integer") from None
+
+
+def _parse_member(text: str, rank: int, where: str) -> Presentation:
+    """A presentation line of a file whose header declares ``rank``."""
+    p = _located(where, notation.parse_presentation, text)
+    if p.rank != rank:
+        raise ValueError(f"{where}: {p.rank} relators in a rank {rank} file")
+    return p
+
+
+def _load_sequences(path: str, tag: str) -> tuple[int, dict[str, str], list]:
+    """Rank, other header fields and move sequences of a sequence file."""
+    with open(path, encoding="utf-8") as fh:
+        params = _parse_header(fh.readline(), tag, path)
+        rank = _header_int(params, "rank", path)
+        del params["rank"]
+        sequences = [
+            _located(f"{path}:{line_no}", notation.parse_sequence, line.strip(), rank)
+            for line_no, line in enumerate(fh, start=2)
+            if line.strip()
+        ]
+    return rank, params, sequences
 
 
 def _located(where: str, parse, *args):

@@ -15,6 +15,7 @@ flags override the file, which overrides built-in defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -42,22 +43,11 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
+# each solver setting parses as the type of its default
 _CONFIG_FIELDS = {
-    "population_size": int,
-    "initial_length": int,
-    "tournament_size": int,
-    "p_insert": float,
-    "p_replace": float,
-    "p_delete": float,
-    "min_length": int,
-    "max_length": int,
-    "relator_length_cap": int,
-    "max_generations": int,
-    "time_budget_s": float,
-    "restarts": int,
-    "mode": str,
-    "stop_on_first_solve": lambda s: s.lower() in ("1", "true", "yes"),
+    f.name: type(f.default) for f in dataclasses.fields(solver_mod.SolverConfig)
 }
+_CONFIG_FIELDS["stop_on_first_solve"] = lambda s: s.lower() in ("1", "true", "yes")
 
 
 def _solver_config(args) -> solver_mod.SolverConfig:
@@ -178,6 +168,11 @@ def _load_model(path: str, cfg: solver_mod.SolverConfig, explicit_mode: str | No
         if not os.path.isabs(metrics_ref):
             metrics_ref = os.path.join(os.path.dirname(path) or ".", metrics_ref)
         metric_set = metrics_mod.load_metric_set(metrics_ref)
+        if len(weights.weights) != len(metric_set):
+            raise SystemExit(
+                f"{path}: {len(weights.weights)} weights, but {metrics_ref} "
+                f"holds {len(metric_set)} metrics"
+            )
         return ensemble_mod.ScalarEnsemble(weights, metric_set)
     if "actriv-objectives" in header:
         if explicit_mode == "single":

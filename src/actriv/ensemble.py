@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import notation
-from .ball import TrainingSet, _atomic_write, _parse_header
+from .ball import TrainingSet, _atomic_write, _load_sequences, _parse_header
 from .metrics import SENTINEL_FITNESS, MetricSet, _CORRELATIONS, metric_value
 from .presentations import MoveSequence, Presentation
 
@@ -176,20 +176,31 @@ def save_ensemble(
 
 def load_ensemble(path: str) -> tuple[EnsembleWeights, str]:
     """Returns the weights and the recorded metric-set file reference."""
-    fields: dict[str, str] = {}
+    fields: dict[str, tuple[str, str]] = {}  # key -> (value, path:line)
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        _parse_header(header, "actriv-ensemble", path)
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, value = line.split(":", 1)
-                fields[key.strip()] = value.strip()
+        _parse_header(fh.readline(), "actriv-ensemble", path)
+        for line_no, line in enumerate(fh, start=2):
+            key, sep, value = line.partition(":")
+            if sep:
+                fields[key.strip()] = (value.strip(), f"{path}:{line_no}")
+            elif line.strip():
+                raise ValueError(f"{path}:{line_no}: expected 'key: value'")
+    for key in ("metrics", "intercept", "weights"):
+        if key not in fields:
+            raise ValueError(f"{path}: no '{key}' field")
+    text, where = fields["weights"]
     weights = EnsembleWeights(
-        weights=[float(w) for w in fields["weights"].split()],
-        intercept=float(fields["intercept"]),
+        weights=[_parse_float(w, where, "weight") for w in text.split()],
+        intercept=_parse_float(*fields["intercept"], "intercept"),
     )
-    return weights, fields["metrics"]
+    return weights, fields["metrics"][0]
+
+
+def _parse_float(text: str, where: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{where}: {what} {text!r} is not a number") from None
 
 
 def save_objectives(objectives: ObjectiveSet, path: str) -> None:
@@ -201,12 +212,5 @@ def save_objectives(objectives: ObjectiveSet, path: str) -> None:
 
 
 def load_objectives(path: str) -> ObjectiveSet:
-    with open(path, encoding="utf-8") as fh:
-        params = _parse_header(fh.readline(), "actriv-objectives", path)
-        rank = int(params["rank"])
-        objectives = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                objectives.append(notation.parse_sequence(line, rank))
+    rank, _, objectives = _load_sequences(path, "actriv-objectives")
     return ObjectiveSet(rank=rank, objectives=objectives)

@@ -1,10 +1,11 @@
-"""Offline distance-metric learning.
+"""Offline distance-metric learning, and the GA engine of both stages.
 
 A learned metric is itself a move sequence d: its value on a presentation
 p is the total relator length after applying d to p.  Metrics are scored
 by how well their values correlate with the BFS distances of a training
-set, and evolved with the same mutation-only generational GA used by the
-online solver.  Repeated runs collect a set of diverse metrics.
+set, and evolved by ``evolve``, the mutation-only generational GA that the
+online solver also runs; ``GaConfig`` holds the settings both stages
+share.  Repeated runs collect a set of diverse metrics.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import notation
-from .ball import TrainingSet, _atomic_write, _parse_header
+from .ball import TrainingSet, _atomic_write, _load_sequences
 from .presentations import MoveSequence, Presentation, apply_to_relators
 from .variation import mutate, random_sequence
 
@@ -42,26 +43,65 @@ class MetricSet:
 
 
 @dataclass
-class MetricGaConfig:
-    population_size: int = 100
-    generations: int = 200
+class GaConfig:
+    """Settings and checks shared by both GA stages; the paper's defaults."""
+
+    population_size: int = 1000
+    initial_length: int = 8
     tournament_size: int = 7
     p_insert: float = 0.1
     p_replace: float = 0.8
     p_delete: float = 0.1
-    initial_length: int = 8
     min_length: int = 8
     max_length: int = 70
     relator_length_cap: int = 200
-    correlation: str = "pearson"
 
     def validate(self) -> None:
         if abs(self.p_insert + self.p_replace + self.p_delete - 1.0) > 1e-9:
             raise ValueError("operator probabilities must sum to 1")
         if not self.min_length <= self.initial_length <= self.max_length:
             raise ValueError("need min_length <= initial_length <= max_length")
-        if self.correlation not in ("pearson", "kendall"):
+        if self.population_size < self.tournament_size:
+            raise ValueError("population smaller than tournament size")
+
+
+@dataclass
+class MetricGaConfig(GaConfig):
+    population_size: int = 100
+    generations: int = 200
+    correlation: str = "pearson"
+
+    def validate(self) -> None:
+        super().validate()
+        if self.correlation not in _CORRELATIONS:
             raise ValueError(f"unknown correlation kind {self.correlation!r}")
+
+
+def evolve(rank: int, cfg: GaConfig, rng: random.Random, evaluate, selection_keys):
+    """The generational GA of both stages.  Yields ``(population, evals)``
+    for each generation, from the random initial one, until the caller
+    stops; each offspring mutates the winner of a tournament, the first
+    contender with the lowest ``selection_keys(evals)`` entry."""
+    size = cfg.population_size
+    population = [random_sequence(rank, cfg.initial_length, rng) for _ in range(size)]
+    while True:
+        evals = [evaluate(d) for d in population]
+        yield population, evals
+        keys = selection_keys(evals)
+        offspring = []
+        for _ in range(size):
+            contenders = rng.sample(range(size), cfg.tournament_size)
+            parent = population[min(contenders, key=keys.__getitem__)]
+            offspring.append(
+                mutate(parent, rank, rng, cfg.p_insert, cfg.p_replace, cfg.p_delete)
+            )
+        population = offspring
+
+
+def restart_seeds(master_seed: int, count: int) -> list[int]:
+    """Seeds of ``count`` independent runs, split off ``master_seed``."""
+    seed_rng = random.Random(master_seed)
+    return [seed_rng.getrandbits(64) for _ in range(count)]
 
 
 def metric_value(d: MoveSequence, p: Presentation, cap: int) -> int:
@@ -160,20 +200,30 @@ def kendall_tau(xs, ys) -> float:
 _CORRELATIONS = {"pearson": pearson, "kendall": kendall_tau}
 
 
-def metric_fitness(
-    d: MoveSequence, training: TrainingSet, kind: str = "pearson", cap: int = 200
-) -> float:
-    """Correlation between d's values and the training distances."""
+def _scorer(training: TrainingSet, kind: str, cap: int):
+    """``d -> correlation of its values with the training distances``."""
     if kind not in _CORRELATIONS:
         raise ValueError(f"unknown correlation kind {kind!r}")
     distances = training.distances()
     if len(distances) < 2 or len(set(distances)) < 2:
         raise ValueError("training set is degenerate: need >= 2 distinct distances")
-    values = [metric_value(d, case.presentation, cap) for case in training.cases]
-    first = values[0]
-    if all(v == first for v in values):
-        return SENTINEL_FITNESS
-    return _CORRELATIONS[kind](values, distances)
+    cases = [case.presentation for case in training.cases]
+
+    def score(d: MoveSequence) -> float:
+        values = [metric_value(d, p, cap) for p in cases]
+        first = values[0]
+        if all(v == first for v in values):
+            return SENTINEL_FITNESS
+        return _CORRELATIONS[kind](values, distances)
+
+    return score
+
+
+def metric_fitness(
+    d: MoveSequence, training: TrainingSet, kind: str = "pearson", cap: int = 200
+) -> float:
+    """Correlation between d's values and the training distances."""
+    return _scorer(training, kind, cap)(d)
 
 
 def evolve_metric(
@@ -182,51 +232,25 @@ def evolve_metric(
     """One generational GA run; returns the best candidate seen in any
     generation, not merely the best of the final population."""
     config.validate()
-    distances = training.distances()
-    if len(distances) < 2 or len(set(distances)) < 2:
-        raise ValueError("training set is degenerate: need >= 2 distinct distances")
-    rank = training.rank
-    cases = [case.presentation for case in training.cases]
-    corr = _CORRELATIONS[config.correlation]
-    cap = config.relator_length_cap
+    score = _scorer(training, config.correlation, config.relator_length_cap)
 
     def fitness(d: MoveSequence) -> float:
         if not config.min_length <= len(d) <= config.max_length:
             return SENTINEL_FITNESS
-        values = [metric_value(d, p, cap) for p in cases]
-        first = values[0]
-        if all(v == first for v in values):
-            return SENTINEL_FITNESS
-        return corr(values, distances)
+        return score(d)
 
+    best = None
     rng = random.Random(rng_seed)
-    population = [
-        random_sequence(rank, config.initial_length, rng)
-        for _ in range(config.population_size)
-    ]
-    scores = [fitness(d) for d in population]
-    best = MetricCandidate(*max(zip(population, scores), key=lambda t: t[1]))
-    for _ in range(config.generations):
-        offspring = []
-        for _ in range(config.population_size):
-            contenders = rng.sample(range(len(population)), config.tournament_size)
-            parent = population[max(contenders, key=lambda idx: scores[idx])]
-            offspring.append(
-                mutate(
-                    parent,
-                    rank,
-                    rng,
-                    config.p_insert,
-                    config.p_replace,
-                    config.p_delete,
-                )
-            )
-        population = offspring
-        scores = [fitness(d) for d in population]
+    # higher fitness is better, the engine's tournaments pick the lowest key
+    generations = evolve(
+        training.rank, config, rng, fitness, lambda scores: [-s for s in scores]
+    )
+    for generation, (population, scores) in enumerate(generations):
         gen_best, gen_score = max(zip(population, scores), key=lambda t: t[1])
-        if best.fitness is None or gen_score > best.fitness:
+        if best is None or gen_score > best.fitness:
             best = MetricCandidate(gen_best, gen_score)
-    return best
+        if generation == config.generations:
+            return best
 
 
 def _run_one(args) -> MetricCandidate:
@@ -249,9 +273,7 @@ def learn_metric_set(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     config = config or MetricGaConfig()
-    seed_rng = random.Random(master_seed)
-    seeds = [seed_rng.getrandbits(64) for _ in range(runs)]
-    tasks = [(training, config, seed) for seed in seeds]
+    tasks = [(training, config, seed) for seed in restart_seeds(master_seed, runs)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, tasks))
@@ -278,12 +300,5 @@ def save_metric_set(metric_set: MetricSet, path: str) -> None:
 
 
 def load_metric_set(path: str) -> MetricSet:
-    with open(path, encoding="utf-8") as fh:
-        params = _parse_header(fh.readline(), "actriv-metrics", path)
-        rank = int(params.pop("rank"))
-        metrics = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                metrics.append(notation.parse_sequence(line, rank))
-    return MetricSet(rank=rank, metrics=metrics, meta=params)
+    rank, meta, metrics = _load_sequences(path, "actriv-metrics")
+    return MetricSet(rank=rank, metrics=metrics, meta=meta)

@@ -13,7 +13,8 @@ objectives (multi-objective mode, NSGA-II style).  The Pareto ranks come
 from a numpy boolean dominance matrix, so the sort needs O(n²) memory:
 about 1 MB per n x n matrix at population 1000.  Replacement is plain
 generational; the best-so-far candidate is tracked outside the population
-for reporting only.
+for reporting only.  The GA loop itself is ``metrics.evolve``, the engine
+metric learning runs too; ``run_search`` owns the stopping rule.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ import numpy as np
 from . import notation
 from .ball import Ball, _atomic_write
 from .ensemble import ObjectiveSet, ScalarEnsemble, objective_values
+from .metrics import GaConfig, evolve, restart_seeds
 from .presentations import (
     MoveSequence,
     Presentation,
     apply_to_relators,
     canonical_relators,
 )
-from .variation import mutate, random_sequence
+from .variation import mutate, random_sequence  # re-exported; evolve calls them
 
 __all__ = [
     "SolverConfig",
@@ -60,16 +62,7 @@ WORST_SCALAR = math.inf
 
 
 @dataclass
-class SolverConfig:
-    population_size: int = 1000
-    initial_length: int = 8
-    tournament_size: int = 7
-    p_insert: float = 0.1
-    p_replace: float = 0.8
-    p_delete: float = 0.1
-    min_length: int = 8
-    max_length: int = 70
-    relator_length_cap: int = 200
+class SolverConfig(GaConfig):
     max_generations: int = 100_000
     time_budget_s: float = 3 * 3600.0
     restarts: int = 20
@@ -77,14 +70,9 @@ class SolverConfig:
     stop_on_first_solve: bool = False
 
     def validate(self) -> None:
-        if abs(self.p_insert + self.p_replace + self.p_delete - 1.0) > 1e-9:
-            raise ValueError("operator probabilities must sum to 1")
-        if not self.min_length <= self.initial_length <= self.max_length:
-            raise ValueError("need min_length <= initial_length <= max_length")
+        super().validate()
         if self.mode not in ("single", "multi"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.population_size < self.tournament_size:
-            raise ValueError("population smaller than tournament size")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -252,15 +240,7 @@ def run_search(
         raise ValueError("single mode expects a ScalarEnsemble model")
     if cfg.mode == "multi" and not isinstance(model, ObjectiveSet):
         raise ValueError("multi mode expects an ObjectiveSet model")
-    rng = random.Random(seed)
     started = time.monotonic()
-    population = [
-        random_sequence(instance.rank, cfg.initial_length, rng)
-        for _ in range(cfg.population_size)
-    ]
-    generation = 0
-    evaluations = 0
-    best_scalar = math.inf
     trajectory: list[tuple[int, float]] = []
 
     def finish(outcome, sequence=None, prefix=None) -> RunResult:
@@ -271,16 +251,19 @@ def run_search(
             sequence=sequence,
             prefix_length=prefix,
             generations=generation,
-            evaluations=evaluations,
+            evaluations=(generation + 1) * cfg.population_size,
             wall_time_s=time.monotonic() - started,
             trajectory=trajectory,
         )
 
-    while True:
-        evals = [
-            evaluate_candidate(d, instance, model, ball, cfg) for d in population
-        ]
-        evaluations += len(population)
+    generations = evolve(
+        instance.rank,
+        cfg,
+        random.Random(seed),
+        lambda d: evaluate_candidate(d, instance, model, ball, cfg),
+        lambda evals: _selection_keys(evals, cfg.mode),
+    )
+    for generation, (population, evals) in enumerate(generations):
         hits = [
             (e.prefix_length, i)
             for i, e in enumerate(evals)
@@ -293,31 +276,12 @@ def run_search(
             gen_best = min(
                 (e.scalar for e in evals if e.status == "ok"), default=math.inf
             )
-            if gen_best < best_scalar:
-                best_scalar = gen_best
+            if gen_best < (trajectory[-1][1] if trajectory else math.inf):
                 trajectory.append((generation, gen_best))
         if generation >= cfg.max_generations:
             return finish("exhausted")
         if time.monotonic() - started > cfg.time_budget_s:
             return finish("timed_out")
-        keys = _selection_keys(evals, cfg.mode)
-        size = cfg.population_size
-        offspring = []
-        for _ in range(size):
-            contenders = rng.sample(range(size), cfg.tournament_size)
-            winner = min(contenders, key=lambda idx: keys[idx])
-            offspring.append(
-                mutate(
-                    population[winner],
-                    instance.rank,
-                    rng,
-                    cfg.p_insert,
-                    cfg.p_replace,
-                    cfg.p_delete,
-                )
-            )
-        population = offspring
-        generation += 1
 
 
 def _campaign_task(args) -> RunResult:
@@ -341,10 +305,9 @@ def run_campaign(
     ends at the first solved run.
     """
     cfg.validate()
-    seed_rng = random.Random(master_seed)
-    seeds = [seed_rng.getrandbits(64) for _ in range(cfg.restarts)]
     tasks = [
-        (instance, model, ball, cfg, seed, instance_id) for seed in seeds
+        (instance, model, ball, cfg, seed, instance_id)
+        for seed in restart_seeds(master_seed, cfg.restarts)
     ]
     if cfg.stop_on_first_solve:
         results = []

@@ -264,6 +264,7 @@ class TestPersistence:
             (3, None, "expected 4 tab-separated fields, got 3"),
             (0, "<a,b|ab,c>", "unknown generator symbol"),
             (3, "mul:0:7", "bad move code 'mul:0:7'"),
+            (0, "<a,b,c|a,b,c>", "3 relators in a rank 2 file"),
         ],
     )
     def test_rejects_malformed_line(self, tmp_path, field, value, message):
@@ -301,8 +302,9 @@ class TestPersistence:
             ("<a,b|a,b>", "expected 2 tab-separated fields, got 1"),
             ("<a,b|a,b>\tnear", "distance 'near' is not an integer"),
             ("<a,b|a>\t0", "unbalanced"),
+            ("<a,b,c|a,b,c>\t1", "3 relators in a rank 2 file"),
         ],
-        ids=["fields", "distance", "presentation"],
+        ids=["fields", "distance", "presentation", "rank"],
     )
     def test_training_rejects_malformed_line(self, tmp_path, line, message):
         path = tmp_path / "train.tsv"

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from actriv.cli import main
+from actriv.ensemble import EnsembleWeights, save_ensemble
+from actriv.metrics import MetricSet, save_metric_set
+from actriv.presentations import invert_move
 from actriv.notation import format_sequence
 from actriv.catalog import known_trivializations
 
@@ -152,6 +155,21 @@ class TestPipeline:
             main(["solve", "--instance", "T1", "--ball", "x", "--model", "y",
                   "--config", str(config), "--out", "z"])
 
+
+    def test_weight_count_must_match_metric_set(self, tmp_path, capsys):
+        ball = str(tmp_path / "ball.tsv")
+        metrics = tmp_path / "metrics.txt"
+        model = tmp_path / "model.txt"
+        run(["ball", "--rank", "2", "--max-total-length", "4", "--max-depth", "2",
+             "--out", ball], capsys)
+        save_metric_set(MetricSet(2, [(), (invert_move(0),)]), str(metrics))
+        save_ensemble(EnsembleWeights([1.0, 2.0, 3.0], 0.5), "metrics.txt", str(model))
+        with pytest.raises(
+            SystemExit, match=r"model\.txt: 3 weights, but .*metrics\.txt holds 2"
+        ):
+            main(["solve", "--instance", "T1", "--ball", ball, "--model", str(model),
+                  "--out", str(tmp_path / "runs.jsonl")])
+        assert not (tmp_path / "runs.jsonl").exists()
 
 class TestVerifyCommand:
     def test_verify_published_t1(self, tmp_path, capsys):

@@ -244,3 +244,47 @@ class TestModelsAndPersistence:
         loaded = load_objectives(path)
         assert loaded.rank == 2
         assert loaded.objectives == objectives.objectives
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# actriv-objectives\n", "objectives.txt: header has no 'rank'"),
+            (
+                "# actriv-objectives rank=2\ninv:1\nmul:0:7\n",
+                "objectives.txt:3: bad move",
+            ),
+        ],
+        ids=["rank", "sequence"],
+    )
+    def test_objectives_reject_malformed_file(self, tmp_path, text, message):
+        path = tmp_path / "objectives.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_objectives(str(path))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                "metrics: m.txt\nintercept 0.5\nweights: 1.0\n",
+                "model.txt:3: expected 'key: value'",
+            ),
+            ("metrics: m.txt\nweights: 1.0\n", "model.txt: no 'intercept' field"),
+            ("intercept: 0.5\nweights: 1.0\n", "model.txt: no 'metrics' field"),
+            ("metrics: m.txt\nintercept: 0.5\n", "model.txt: no 'weights' field"),
+            (
+                "metrics: m.txt\nintercept: 0.5\n\nweights: 1.0 heavy\n",
+                "model.txt:5: weight 'heavy' is not a number",
+            ),
+            (
+                "metrics: m.txt\nintercept: half\nweights: 1.0\n",
+                "model.txt:3: intercept 'half' is not a number",
+            ),
+        ],
+        ids=["colon", "intercept", "metrics", "weights", "weight", "intercept-value"],
+    )
+    def test_ensemble_rejects_malformed_file(self, tmp_path, body, message):
+        path = tmp_path / "model.txt"
+        path.write_text("# actriv-ensemble\n" + body)
+        with pytest.raises(ValueError, match=message):
+            load_ensemble(str(path))

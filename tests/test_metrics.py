@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import actriv.metrics as metrics
 from actriv.ball import FitnessCase, TrainingSet, build_ball, sample_cases
 from actriv.catalog import get_instance, known_trivializations
 from actriv.metrics import (
@@ -26,6 +27,8 @@ from actriv.presentations import (
     trivial_presentation,
 )
 from actriv.variation import random_sequence
+import reference_ga
+from reference_ga import reference_evolve_metric
 from reference_moves import reference_trace, total
 
 
@@ -245,6 +248,54 @@ class TestEvolveMetric:
         assert 8 <= len(cand.sequence) <= 70
 
 
+class TestEvolveMetricAgainstReference:
+    @pytest.mark.parametrize("kind", ["pearson", "kendall"])
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_same_best_candidate(self, small_training, kind, seed, monkeypatch):
+        """The engine gives the best candidate and the metric evaluations,
+        in order, of the loop ``evolve_metric`` had before ``evolve``."""
+        config = MetricGaConfig(population_size=30, generations=15, correlation=kind)
+
+        def traced_run(module, run):
+            seen = []
+
+            def collecting(d, *args):
+                seen.append(d)
+                return metric_value(d, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "metric_value", collecting)
+                best = run(small_training, config, seed)
+            return best, seen
+
+        shipped = traced_run(metrics, evolve_metric)
+        assert len(shipped[1]) > config.population_size * len(small_training.cases)
+        assert traced_run(reference_ga, reference_evolve_metric) == shipped
+
+
+class TestMetricGaConfig:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"p_insert": 0.5},
+            {"initial_length": 4},
+            {"population_size": 6},
+            {"correlation": "spearman"},
+        ],
+        ids=["probabilities", "length_band", "population", "correlation"],
+    )
+    def test_rejects(self, overrides):
+        with pytest.raises(ValueError):
+            MetricGaConfig(**overrides).validate()
+
+    def test_defaults(self):
+        config = MetricGaConfig()
+        assert (config.population_size, config.generations) == (100, 200)
+        assert config.tournament_size == 7
+        assert config.correlation == "pearson"
+        config.validate()
+
+
 class TestLearnMetricSet:
     def test_fifty_runs_give_fifty_metrics(self, small_training):
         config = MetricGaConfig(population_size=8, generations=1)
@@ -287,6 +338,20 @@ class TestPersistence:
         loaded = load_metric_set(path)
         assert loaded.rank == 2
         assert loaded.metrics == metric_set.metrics
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# actriv-metrics runs=2\n", "metrics.txt: header has no 'rank'"),
+            ("# actriv-metrics rank=2\ninv:0\n\nmul:0:7\n", "metrics.txt:4: bad move"),
+        ],
+        ids=["rank", "sequence"],
+    )
+    def test_rejects_malformed_file(self, tmp_path, text, message):
+        path = tmp_path / "metrics.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_metric_set(str(path))
 
     def test_empty_sequence_line(self, tmp_path):
         metric_set = MetricSet(rank=2, metrics=[(), (invert_move(0),)])

@@ -37,6 +37,7 @@ from actriv.solver import (
     write_summary_csv,
     _selection_keys,
 )
+import reference_ga
 from reference_moves import reference_apply, reference_trace, total
 from reference_nsga import reference_nondominated_sort
 
@@ -461,6 +462,53 @@ class TestRunSearch:
             solver, "nondominated_sort", reference_nondominated_sort
         )
         assert traced_run() == shipped
+
+    @pytest.mark.parametrize(
+        "name, mode, population, seed, outcome",
+        [
+            ("T1", "single", 30, 4, "solved"),
+            ("AK3", "single", 30, 5, "exhausted"),
+            ("AK3", "multi", 40, 3, "exhausted"),
+        ],
+    )
+    def test_same_as_reference_loop(
+        self,
+        name,
+        mode,
+        population,
+        seed,
+        outcome,
+        small_ball,
+        scalar_model,
+        objective_model,
+        monkeypatch,
+    ):
+        """The engine gives the record, the trajectory and the evaluated
+        candidates, in order, of the loop ``run_search`` had before
+        ``metrics.evolve``."""
+        instance = get_instance(name).presentation
+        model = scalar_model if mode == "single" else objective_model
+        cfg = tiny_config(
+            mode=mode, population_size=population, max_generations=12
+        )
+
+        def traced_run(module, search):
+            seen = []
+
+            def collecting(s, *args):
+                seen.append(s)
+                return evaluate_candidate(s, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "evaluate_candidate", collecting)
+                out = search(instance, model, small_ball, cfg, seed, name)
+            return result_record(out, instance.rank), seen, out.trajectory
+
+        shipped = traced_run(solver, run_search)
+        assert shipped[0]["outcome"] == outcome
+        assert shipped[0]["generations"] > 0
+        assert len(shipped[1]) == shipped[0]["evaluations"]
+        assert traced_run(reference_ga, reference_ga.reference_run_search) == shipped
 
     def test_model_mode_mismatch(self, small_ball, scalar_model, objective_model):
         cfg = tiny_config(mode="multi")

@@ -13,9 +13,7 @@ from .presentations import (
     AcMove,
     MoveSequence,
     Presentation,
-    Trace,
     apply_move,
-    apply_sequence,
     canonical_form,
     conjugate_move,
     enumerate_moves,

@@ -16,12 +16,11 @@ moves and is therefore usually longer than the BFS depth.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import notation
+from . import formats, notation
 from .presentations import (
     CONJUGATE,
     INVERT,
@@ -286,47 +285,46 @@ def lookup(ball: Ball, p: Presentation) -> tuple[int, MoveSequence] | None:
 
 
 def save_ball(ball: Ball, path: str) -> None:
-    """Line-oriented dump in BFS order (atomic write-then-rename)."""
-    index: dict[BallKey, int] = {}
-    lines = [
-        f"# actriv-ball rank={ball.rank} "
-        f"max_total_length={ball.max_total_length} max_depth={ball.max_depth}"
-    ]
-    for pos, (key, (depth, parent, move)) in enumerate(ball.members.items()):
-        index[key] = pos
-        text = notation.format_presentation(Presentation(ball.rank, key))
-        parent_idx = -1 if parent is None else index[parent]
-        code = "-" if move is None else notation.format_move(move, ball.rank)
-        lines.append(f"{text}\t{depth}\t{parent_idx}\t{code}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Line-oriented dump in BFS order."""
+
+    def records():
+        index: dict[BallKey, int] = {}
+        for pos, (key, (depth, parent, move)) in enumerate(ball.members.items()):
+            index[key] = pos
+            yield (
+                notation.format_presentation(Presentation(ball.rank, key)),
+                str(depth),
+                "-1" if parent is None else str(index[parent]),
+                "-" if move is None else notation.format_move(move, ball.rank),
+            )
+
+    header = {
+        "rank": ball.rank,
+        "max_total_length": ball.max_total_length,
+        "max_depth": ball.max_depth,
+    }
+    formats.write_file(path, "ball", header, records())
 
 
 def load_ball(path: str) -> Ball:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        params = _parse_header(header, "actriv-ball", path)
+    with formats.read_file(path, "ball", 4) as (header, records):
         ball = Ball(
-            rank=_header_int(params, "rank", path),
-            max_total_length=_header_int(params, "max_total_length", path),
-            max_depth=_header_int(params, "max_depth", path),
+            rank=header.int("rank"),
+            max_total_length=header.int("max_total_length"),
+            max_depth=header.int("max_depth"),
         )
         order: list[BallKey] = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{line_no}"
-            text, depth, parent_idx, code = _split_fields(line, 4, where)
-            key = _parse_member(text, ball.rank, where).relators
+        for where, (text, depth, parent_idx, code) in records:
+            key = formats.parse_presentation(text, ball.rank, where).relators
             if key != canonical_relators(key):
                 raise ValueError(f"{where}: presentation not canonical")
             if key in ball.members:
                 raise ValueError(f"{where}: duplicate presentation")
-            depth = _parse_int(depth, "depth", where)
+            depth = formats.parse_int(depth, "depth", where)
             if parent_idx == "-1":
                 parent, parent_depth = None, -1
             else:
-                idx = _parse_int(parent_idx, "parent index", where)
+                idx = formats.parse_int(parent_idx, "parent index", where)
                 if not 0 <= idx < len(order):
                     raise ValueError(
                         f"{where}: parent index {idx} is not an earlier member"
@@ -335,11 +333,7 @@ def load_ball(path: str) -> Ball:
                 parent_depth = ball.members[parent][0]
             if depth != parent_depth + 1:
                 raise ValueError(f"{where}: depth {depth} is not parent depth + 1")
-            move = (
-                None
-                if code == "-"
-                else _located(where, notation.parse_move, code, ball.rank)
-            )
+            move = None if code == "-" else formats.parse_move(code, ball.rank, where)
             ball.members[key] = (depth, parent, move)
             order.append(key)
     if not ball.members:
@@ -348,100 +342,21 @@ def load_ball(path: str) -> Ball:
 
 
 def save_training(ts: TrainingSet, path: str) -> None:
-    lines = [f"# actriv-training rank={ts.rank}"]
-    for case in ts.cases:
-        text = notation.format_presentation(case.presentation)
-        lines.append(f"{text}\t{case.distance}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    records = (
+        (notation.format_presentation(case.presentation), str(case.distance))
+        for case in ts.cases
+    )
+    formats.write_file(path, "training", {"rank": ts.rank}, records)
 
 
 def load_training(path: str) -> TrainingSet:
-    with open(path, encoding="utf-8") as fh:
-        params = _parse_header(fh.readline(), "actriv-training", path)
-        rank = _header_int(params, "rank", path)
-        cases = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{line_no}"
-            text, distance = _split_fields(line, 2, where)
-            cases.append(
-                FitnessCase(
-                    _parse_member(text, rank, where),
-                    _parse_int(distance, "distance", where),
-                )
+    with formats.read_file(path, "training", 2) as (header, records):
+        rank = header.int("rank")
+        cases = [
+            FitnessCase(
+                formats.parse_presentation(text, rank, where),
+                formats.parse_int(distance, "distance", where),
             )
-    return TrainingSet(rank, cases)
-
-
-def _parse_header(line: str, tag: str, path: str) -> dict[str, str]:
-    parts = line.strip().lstrip("#").split()
-    if not parts or parts[0] != tag:
-        raise ValueError(f"{path}: missing '{tag}' header")
-    params = {}
-    for part in parts[1:]:
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"{path}: header field {part!r} is not key=value")
-        params[key] = value
-    return params
-
-
-def _header_int(params: dict[str, str], key: str, path: str) -> int:
-    if key not in params:
-        raise ValueError(f"{path}: header has no '{key}'")
-    return _parse_int(params[key], f"header {key}", path)
-
-
-def _split_fields(line: str, count: int, where: str) -> list[str]:
-    fields = line.split("\t")
-    if len(fields) != count:
-        raise ValueError(
-            f"{where}: expected {count} tab-separated fields, got {len(fields)}"
-        )
-    return fields
-
-
-def _parse_int(text: str, what: str, where: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{where}: {what} {text!r} is not an integer") from None
-
-
-def _parse_member(text: str, rank: int, where: str) -> Presentation:
-    """A presentation line of a file whose header declares ``rank``."""
-    p = _located(where, notation.parse_presentation, text)
-    if p.rank != rank:
-        raise ValueError(f"{where}: {p.rank} relators in a rank {rank} file")
-    return p
-
-
-def _load_sequences(path: str, tag: str) -> tuple[int, dict[str, str], list]:
-    """Rank, other header fields and move sequences of a sequence file."""
-    with open(path, encoding="utf-8") as fh:
-        params = _parse_header(fh.readline(), tag, path)
-        rank = _header_int(params, "rank", path)
-        del params["rank"]
-        sequences = [
-            _located(f"{path}:{line_no}", notation.parse_sequence, line.strip(), rank)
-            for line_no, line in enumerate(fh, start=2)
-            if line.strip()
+            for where, (text, distance) in records
         ]
-    return rank, params, sequences
-
-
-def _located(where: str, parse, *args):
-    """``parse(*args)``, with a notation error re-raised naming ``where``."""
-    try:
-        return parse(*args)
-    except notation.NotationError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
-def _atomic_write(path: str, content: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+    return TrainingSet(rank, cases)

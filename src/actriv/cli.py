@@ -22,6 +22,7 @@ import sys
 from . import ball as ball_mod
 from . import catalog as catalog_mod
 from . import ensemble as ensemble_mod
+from . import formats
 from . import metrics as metrics_mod
 from . import notation
 from . import proof as proof_mod
@@ -142,7 +143,8 @@ def _cmd_fit(args) -> int:
     training = ball_mod.load_training(args.train)
     if args.mode == "single":
         weights = ensemble_mod.fit_weights(metric_set, training, args.cap)
-        ensemble_mod.save_ensemble(weights, args.metrics, args.out)
+        model = ensemble_mod.ScalarEnsemble(weights, metric_set)
+        ensemble_mod.save_ensemble(model, args.out)
         print(
             f"ensemble: intercept {weights.intercept:.4f}, "
             f"{sum(1 for w in weights.weights if w)} active weights -> {args.out}"
@@ -158,23 +160,13 @@ def _cmd_fit(args) -> int:
 
 def _load_model(path: str, cfg: solver_mod.SolverConfig, explicit_mode: str | None):
     """Load a model file; its kind decides the mode unless one was forced."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-    if "actriv-ensemble" in header:
+    kind = formats.kind_of(path)
+    if kind == "ensemble":
         if explicit_mode == "multi":
             raise SystemExit("ensemble model files drive mode=single")
         cfg.mode = "single"
-        weights, metrics_ref = ensemble_mod.load_ensemble(path)
-        if not os.path.isabs(metrics_ref):
-            metrics_ref = os.path.join(os.path.dirname(path) or ".", metrics_ref)
-        metric_set = metrics_mod.load_metric_set(metrics_ref)
-        if len(weights.weights) != len(metric_set):
-            raise SystemExit(
-                f"{path}: {len(weights.weights)} weights, but {metrics_ref} "
-                f"holds {len(metric_set)} metrics"
-            )
-        return ensemble_mod.ScalarEnsemble(weights, metric_set)
-    if "actriv-objectives" in header:
+        return ensemble_mod.load_ensemble(path)
+    if kind == "objectives":
         if explicit_mode == "single":
             raise SystemExit("objective model files drive mode=multi")
         cfg.mode = "multi"
@@ -224,7 +216,7 @@ def _cmd_verify(args) -> int:
     result = proof_mod.verify(instance, sequence, built, instance_id)
     listing = result.to_text()
     if args.out:
-        ball_mod._atomic_write(args.out, listing + "\n")
+        formats.write_atomic(args.out, [listing + "\n"])
         print(f"proof listing -> {args.out}")
     else:
         print(listing)

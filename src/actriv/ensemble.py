@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import notation
-from .ball import TrainingSet, _atomic_write, _load_sequences, _parse_header
+from . import formats, notation
+from .ball import TrainingSet
 from .metrics import SENTINEL_FITNESS, MetricSet, _CORRELATIONS, metric_value
 from .presentations import MoveSequence, Presentation
 
@@ -72,23 +72,6 @@ def fit_weights(
     for out_idx, col_idx in enumerate(kept):
         weights[col_idx] = float(solution[out_idx + 1])
     return EnsembleWeights(weights=weights, intercept=float(solution[0]))
-
-
-def scalar_fitness(
-    weights: EnsembleWeights,
-    metric_set: MetricSet,
-    p: Presentation,
-    cap: int = 200,
-) -> float:
-    """Weighted linear combination of metric values; estimates distance to
-    the trivial presentation, so lower is better."""
-    if len(weights.weights) != len(metric_set.metrics):
-        raise ValueError("weight count does not match metric set size")
-    acc = weights.intercept
-    for w, d in zip(weights.weights, metric_set.metrics):
-        if w != 0.0:
-            acc += w * metric_value(d, p, cap)
-    return acc
 
 
 def trim_objectives(
@@ -158,59 +141,54 @@ class ScalarEnsemble:
     weights: EnsembleWeights
     metrics: MetricSet
 
+    def __post_init__(self) -> None:
+        if len(self.weights.weights) != len(self.metrics.metrics):
+            raise ValueError("weight count does not match metric set size")
+
     def value(self, p: Presentation, cap: int = 200) -> float:
-        return scalar_fitness(self.weights, self.metrics, p, cap)
+        """Weighted linear combination of metric values; estimates distance
+        to the trivial presentation, so lower is better."""
+        acc = self.weights.intercept
+        for w, d in zip(self.weights.weights, self.metrics.metrics):
+            if w != 0.0:
+                acc += w * metric_value(d, p, cap)
+        return acc
 
 
-def save_ensemble(
-    weights: EnsembleWeights, metrics_path: str, path: str
-) -> None:
-    lines = [
-        "# actriv-ensemble",
-        f"metrics: {metrics_path}",
-        f"intercept: {weights.intercept!r}",
-        "weights: " + " ".join(repr(w) for w in weights.weights),
-    ]
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def load_ensemble(path: str) -> tuple[EnsembleWeights, str]:
-    """Returns the weights and the recorded metric-set file reference."""
-    fields: dict[str, tuple[str, str]] = {}  # key -> (value, path:line)
-    with open(path, encoding="utf-8") as fh:
-        _parse_header(fh.readline(), "actriv-ensemble", path)
-        for line_no, line in enumerate(fh, start=2):
-            key, sep, value = line.partition(":")
-            if sep:
-                fields[key.strip()] = (value.strip(), f"{path}:{line_no}")
-            elif line.strip():
-                raise ValueError(f"{path}:{line_no}: expected 'key: value'")
-    for key in ("metrics", "intercept", "weights"):
-        if key not in fields:
-            raise ValueError(f"{path}: no '{key}' field")
-    text, where = fields["weights"]
-    weights = EnsembleWeights(
-        weights=[_parse_float(w, where, "weight") for w in text.split()],
-        intercept=_parse_float(*fields["intercept"], "intercept"),
+def save_ensemble(model: ScalarEnsemble, path: str) -> None:
+    """One ``weight <TAB> metric`` line per metric, after a header that
+    holds the rank and the intercept."""
+    rank = model.metrics.rank
+    header = {"rank": rank, "intercept": repr(model.weights.intercept)}
+    records = (
+        (repr(w), notation.format_sequence(d, rank))
+        for w, d in zip(model.weights.weights, model.metrics.metrics)
     )
-    return weights, fields["metrics"][0]
+    formats.write_file(path, "ensemble", header, records)
 
 
-def _parse_float(text: str, where: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{where}: {what} {text!r} is not a number") from None
+def load_ensemble(path: str) -> ScalarEnsemble:
+    weights, metrics = [], []
+    with formats.read_file(path, "ensemble", 2) as (header, records):
+        rank = header.int("rank")
+        intercept = header.float("intercept")
+        for where, (weight, sequence) in records:
+            weights.append(formats.parse_float(weight, "weight", where))
+            metrics.append(formats.parse_sequence(sequence, rank, where))
+    return ScalarEnsemble(EnsembleWeights(weights, intercept), MetricSet(rank, metrics))
 
 
 def save_objectives(objectives: ObjectiveSet, path: str) -> None:
-    lines = [f"# actriv-objectives rank={objectives.rank}"]
-    lines.extend(
-        notation.format_sequence(d, objectives.rank) for d in objectives.objectives
+    records = (
+        (notation.format_sequence(d, objectives.rank),) for d in objectives.objectives
     )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    formats.write_file(path, "objectives", {"rank": objectives.rank}, records)
 
 
 def load_objectives(path: str) -> ObjectiveSet:
-    rank, _, objectives = _load_sequences(path, "actriv-objectives")
+    with formats.read_file(path, "objectives", 1) as (header, records):
+        rank = header.int("rank")
+        objectives = [
+            formats.parse_sequence(text, rank, where) for where, (text,) in records
+        ]
     return ObjectiveSet(rank=rank, objectives=objectives)

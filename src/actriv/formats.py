@@ -1,0 +1,148 @@
+"""The text layer under every actriv file.
+
+An actriv file starts with a header line ``# actriv-<kind> key=value ...``
+and holds one record per non-blank line after it, as tab-separated fields.
+This module reads and writes that layer: the header, the records, the
+field parsers, and the one writer, which writes to a temporary file and
+renames it over the target so a reader never sees a partial file.  Every
+read error is a ``ValueError`` that names ``path`` or ``path:line``.
+"""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from itertools import chain
+from typing import Iterable
+
+from . import notation
+from .presentations import AcMove, MoveSequence, Presentation
+
+_PREFIX = "actriv-"
+
+
+class Header:
+    """The ``key=value`` fields of a file's header line."""
+
+    def __init__(self, path: str, fields: dict[str, str]):
+        self.path = path
+        self.fields = fields
+
+    def _get(self, key: str) -> str:
+        if key not in self.fields:
+            raise ValueError(f"{self.path}: header has no '{key}'")
+        return self.fields[key]
+
+    def int(self, key: str) -> int:
+        return parse_int(self._get(key), f"header {key}", self.path)
+
+    def float(self, key: str) -> float:
+        return parse_float(self._get(key), f"header {key}", self.path)
+
+
+def kind_of(path: str) -> str | None:
+    """The ``<kind>`` of the file's ``# actriv-<kind>`` header, if it has one."""
+    with open(path, encoding="utf-8") as fh:
+        parts = fh.readline().lstrip("#").split()
+    if parts and parts[0].startswith(_PREFIX):
+        return parts[0][len(_PREFIX) :]
+    return None
+
+
+def _parse_header(line: str, kind: str, path: str) -> Header:
+    parts = line.strip().lstrip("#").split()
+    if not parts or parts[0] != _PREFIX + kind:
+        raise ValueError(f"{path}: missing '{_PREFIX}{kind}' header")
+    fields = {}
+    for part in parts[1:]:
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise ValueError(f"{path}: header field {part!r} is not key=value")
+        fields[key] = value
+    return Header(path, fields)
+
+
+def _records(lines: Iterable[str], path: str, count: int):
+    for line_no, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{line_no}"
+        fields = line.split("\t")
+        if len(fields) != count:
+            raise ValueError(
+                f"{where}: expected {count} tab-separated fields, got {len(fields)}"
+            )
+        yield where, fields
+
+
+@contextmanager
+def read_file(path: str, kind: str, count: int):
+    """Open the ``kind`` file at ``path``; gives its ``Header`` and an
+    iterator of ``(path:line, fields)``, one per record of ``count``
+    fields.  Lines are read as the iterator advances, never all at once."""
+    with open(path, encoding="utf-8") as fh:
+        header = _parse_header(fh.readline(), kind, path)
+        yield header, _records(fh, path, count)
+
+
+def write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the concatenated ``chunks`` to ``path`` through a temporary
+    file renamed over it.  If producing a chunk raises, ``path`` is left
+    as it was and the temporary file is removed."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_file(
+    path: str, kind: str, header: dict, records: Iterable[Iterable[str]]
+) -> None:
+    """Write a ``kind`` file: the header with the ``header`` fields in
+    order, then one line of tab-separated fields per record."""
+    fields = "".join(f" {key}={value}" for key, value in header.items())
+    lines = ("\t".join(record) + "\n" for record in records)
+    write_atomic(path, chain([f"# {_PREFIX}{kind}{fields}\n"], lines))
+
+
+def parse_int(text: str, what: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: {what} {text!r} is not an integer") from None
+
+
+def parse_float(text: str, what: str, where: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{where}: {what} {text!r} is not a number") from None
+
+
+def _located(where: str, parse, *args):
+    """``parse(*args)``, with a notation error re-raised naming ``where``."""
+    try:
+        return parse(*args)
+    except notation.NotationError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def parse_presentation(text: str, rank: int, where: str) -> Presentation:
+    """A presentation field of a file whose header declares ``rank``."""
+    p = _located(where, notation.parse_presentation, text)
+    if p.rank != rank:
+        raise ValueError(f"{where}: {p.rank} relators in a rank {rank} file")
+    return p
+
+
+def parse_move(text: str, rank: int, where: str) -> AcMove:
+    return _located(where, notation.parse_move, text, rank)
+
+
+def parse_sequence(text: str, rank: int, where: str) -> MoveSequence:
+    return _located(where, notation.parse_sequence, text, rank)

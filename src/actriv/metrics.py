@@ -15,8 +15,8 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from . import notation
-from .ball import TrainingSet, _atomic_write, _load_sequences
+from . import formats, notation
+from .ball import TrainingSet
 from .presentations import MoveSequence, Presentation, apply_to_relators
 from .variation import mutate, random_sequence
 
@@ -106,8 +106,7 @@ def restart_seeds(master_seed: int, count: int) -> list[int]:
 
 def metric_value(d: MoveSequence, p: Presentation, cap: int) -> int:
     """Total relator length after applying d to p; cap acts as the worst
-    value if any intermediate reaches it (matching apply_sequence
-    truncation)."""
+    value if any intermediate reaches it."""
     rels = list(p.relators)
     total = sum(map(len, rels))
     if total >= cap:
@@ -288,17 +287,18 @@ def learn_metric_set(
 
 
 def save_metric_set(metric_set: MetricSet, path: str) -> None:
-    meta = " ".join(f"{k}={v}" for k, v in sorted(metric_set.meta.items()))
-    header = f"# actriv-metrics rank={metric_set.rank}"
-    if meta:
-        header += f" {meta}"
-    lines = [header]
-    lines.extend(
-        notation.format_sequence(d, metric_set.rank) for d in metric_set.metrics
+    header = {"rank": metric_set.rank, **dict(sorted(metric_set.meta.items()))}
+    records = (
+        (notation.format_sequence(d, metric_set.rank),) for d in metric_set.metrics
     )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    formats.write_file(path, "metrics", header, records)
 
 
 def load_metric_set(path: str) -> MetricSet:
-    rank, meta, metrics = _load_sequences(path, "actriv-metrics")
+    with formats.read_file(path, "metrics", 1) as (header, records):
+        rank = header.int("rank")
+        metrics = [
+            formats.parse_sequence(text, rank, where) for where, (text,) in records
+        ]
+    meta = {key: value for key, value in header.fields.items() if key != "rank"}
     return MetricSet(rank=rank, metrics=metrics, meta=meta)

@@ -18,7 +18,6 @@ in shortlex order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -170,54 +169,6 @@ def apply_move(p: Presentation, m: AcMove) -> Presentation:
     rels = list(p.relators)
     apply_to_relators(rels, m)
     return Presentation(p.rank, tuple(rels))
-
-
-@dataclass
-class Trace:
-    """Step-by-step record of a move sequence applied to a presentation."""
-
-    start: Presentation
-    steps: list[tuple[AcMove, Presentation]] = field(default_factory=list)
-    truncated: bool = False
-    truncated_reason: str | None = None
-
-    @property
-    def final(self) -> Presentation:
-        return self.steps[-1][1] if self.steps else self.start
-
-    def presentations(self):
-        yield self.start
-        for _, p in self.steps:
-            yield p
-
-
-def apply_sequence(p: Presentation, moves, max_total_length: int) -> Trace:
-    """Apply moves one by one, recording every intermediate presentation.
-
-    If any intermediate (including the start) has total relator length
-    >= max_total_length, the trace is marked truncated at that point and
-    no further moves are applied.
-    """
-    trace = Trace(start=p)
-    length = total_length(p)
-    if length >= max_total_length:
-        trace.truncated = True
-        trace.truncated_reason = (
-            f"total relator length {length} >= {max_total_length} at step 0"
-        )
-        return trace
-    current = p
-    for step, m in enumerate(moves, start=1):
-        current = apply_move(current, m)
-        trace.steps.append((m, current))
-        length = total_length(current)
-        if length >= max_total_length:
-            trace.truncated = True
-            trace.truncated_reason = (
-                f"total relator length {length} >= {max_total_length} at step {step}"
-            )
-            break
-    return trace
 
 
 def canonical_form(p: Presentation) -> Presentation:

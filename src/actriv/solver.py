@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import notation
-from .ball import Ball, _atomic_write
+from . import formats, notation
+from .ball import Ball
 from .ensemble import ObjectiveSet, ScalarEnsemble, objective_values
 from .metrics import GaConfig, evolve, restart_seeds
 from .presentations import (
@@ -345,10 +345,10 @@ def result_record(result: RunResult, rank: int) -> dict:
 
 
 def write_results_jsonl(results: list[RunResult], rank: int, path: str) -> None:
-    lines = [
-        json.dumps(result_record(r, rank), sort_keys=True) for r in results
-    ]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    lines = (
+        json.dumps(result_record(r, rank), sort_keys=True) + "\n" for r in results
+    )
+    formats.write_atomic(path, lines)
 
 
 def write_summary_csv(results: list[RunResult], path: str) -> None:
@@ -377,4 +377,4 @@ def write_summary_csv(results: list[RunResult], path: str) -> None:
                 f"{r.wall_time_s:.3f}",
             ]
         )
-    _atomic_write(path, buffer.getvalue())
+    formats.write_atomic(path, [buffer.getvalue()])

@@ -86,11 +86,12 @@ class TestBuildBall:
         assert ball.members.keys() == reference_bfs(2, 4, 3).keys()
 
     def test_depths_match_reference_bfs(self):
-        ball = build_ball(2, 8, 4)
-        reference = reference_bfs(2, 8, 4, seed=42)
-        assert ball.members.keys() == reference.keys()
-        for key, (depth, _, _) in ball.members.items():
-            assert depth == reference[key]
+        for limits in [(2, 8, 4), (3, 8, 3)]:
+            ball = build_ball(*limits)
+            reference = reference_bfs(*limits, seed=42)
+            assert ball.members.keys() == reference.keys()
+            for key, (depth, _, _) in ball.members.items():
+                assert depth == reference[key]
 
     def test_monotone_in_limits(self):
         small = build_ball(2, 6, 3)
@@ -229,6 +230,31 @@ class TestPersistence:
         save_training(training, path)
         loaded = load_training(path)
         assert loaded.rank == training.rank
+        assert loaded.cases == training.cases
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "ball.tsv"
+        save_ball(build_ball(2, 4, 2), str(path))
+        before = path.read_bytes()
+        broken = build_ball(2, 6, 2)
+        # a member whose parent is not in the ball cannot be written
+        key = next(k for k, info in broken.members.items() if info[0] == 2)
+        broken.members[key] = (2, ((9,), (9,)), broken.members[key][2])
+        with pytest.raises(KeyError):
+            save_ball(broken, str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ball.tsv"]
+
+    def test_rank3_round_trip(self, tmp_path):
+        ball = build_ball(3, 8, 3)
+        save_ball(ball, str(tmp_path / "ball.tsv"))
+        loaded = load_ball(str(tmp_path / "ball.tsv"))
+        assert (loaded.rank, loaded.max_total_length, loaded.max_depth) == (3, 8, 3)
+        assert loaded.members == ball.members
+        training = sample_cases(ball, 40, rng_seed=3)
+        save_training(training, str(tmp_path / "train.tsv"))
+        loaded = load_training(str(tmp_path / "train.tsv"))
+        assert loaded.rank == 3
         assert loaded.cases == training.cases
 
     @pytest.mark.parametrize(

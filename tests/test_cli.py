@@ -3,9 +3,6 @@ import json
 import pytest
 
 from actriv.cli import main
-from actriv.ensemble import EnsembleWeights, save_ensemble
-from actriv.metrics import MetricSet, save_metric_set
-from actriv.presentations import invert_move
 from actriv.notation import format_sequence
 from actriv.catalog import known_trivializations
 
@@ -156,20 +153,34 @@ class TestPipeline:
                   "--config", str(config), "--out", "z"])
 
 
-    def test_weight_count_must_match_metric_set(self, tmp_path, capsys):
-        ball = str(tmp_path / "ball.tsv")
-        metrics = tmp_path / "metrics.txt"
-        model = tmp_path / "model.txt"
-        run(["ball", "--rank", "2", "--max-total-length", "4", "--max-depth", "2",
-             "--out", ball], capsys)
-        save_metric_set(MetricSet(2, [(), (invert_move(0),)]), str(metrics))
-        save_ensemble(EnsembleWeights([1.0, 2.0, 3.0], 0.5), "metrics.txt", str(model))
-        with pytest.raises(
-            SystemExit, match=r"model\.txt: 3 weights, but .*metrics\.txt holds 2"
-        ):
-            main(["solve", "--instance", "T1", "--ball", ball, "--model", str(model),
-                  "--out", str(tmp_path / "runs.jsonl")])
-        assert not (tmp_path / "runs.jsonl").exists()
+    def test_relative_paths_and_self_contained_model(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data").mkdir()
+        steps = [
+            ["ball", "--rank", "2", "--max-total-length", "6", "--max-depth", "3",
+             "--out", "data/ball.tsv"],
+            ["sample", "--ball", "data/ball.tsv", "--count", "20", "--seed", "1",
+             "--out", "data/train.tsv"],
+            ["learn", "--train", "data/train.tsv", "--runs", "2", "--population",
+             "10", "--generations", "2", "--seed", "2", "--out", "data/metrics.txt"],
+            ["fit", "--metrics", "data/metrics.txt", "--train", "data/train.tsv",
+             "--out", "data/model.txt"],
+        ]
+        for argv in steps:
+            assert run(argv, capsys)[0] == 0
+        solve = ["solve", "--instance", "AK3", "--ball", "data/ball.tsv",
+                 "--model", "data/model.txt", "--seed", "1",
+                 "--population-size", "12", "--max-generations", "1",
+                 "--restarts", "1"]
+        assert run(solve + ["--out", "data/a.jsonl"], capsys)[0] == 0
+        (tmp_path / "data" / "metrics.txt").unlink()
+        assert run(solve + ["--out", "data/b.jsonl"], capsys)[0] == 0
+        assert (tmp_path / "data" / "a.jsonl").read_bytes() == (
+            tmp_path / "data" / "b.jsonl"
+        ).read_bytes()
+
 
 class TestVerifyCommand:
     def test_verify_published_t1(self, tmp_path, capsys):

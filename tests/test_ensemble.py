@@ -14,7 +14,6 @@ from actriv.ensemble import (
     objective_values,
     save_ensemble,
     save_objectives,
-    scalar_fitness,
     trim_objectives,
 )
 from actriv.metrics import MetricSet, metric_value
@@ -125,18 +124,22 @@ class TestFitWeights:
             fit_weights(MetricSet(2, [()]), TrainingSet(2, []))
 
 
+def scalar_value(weights, metric_set, p):
+    return ScalarEnsemble(weights, metric_set).value(p)
+
+
 class TestScalarFitness:
     def test_zero_weights_give_intercept(self, training):
         metric_set = MetricSet(2, [(), (invert_move(0),)])
         w = EnsembleWeights([0.0, 0.0], 7.5)
         for case in training.cases[:5]:
-            assert scalar_fitness(w, metric_set, case.presentation) == 7.5
+            assert scalar_value(w, metric_set, case.presentation) == 7.5
 
     def test_identity_metric_weight_one(self, training):
         metric_set = MetricSet(2, [()])
         w = EnsembleWeights([1.0], 0.0)
         for case in training.cases[:5]:
-            assert scalar_fitness(w, metric_set, case.presentation) == total_length(
+            assert scalar_value(w, metric_set, case.presentation) == total_length(
                 case.presentation
             )
 
@@ -146,8 +149,8 @@ class TestScalarFitness:
         base = EnsembleWeights([0.5, 2.0], 1.0)
         doubled = EnsembleWeights([0.5, 4.0], 1.0)
         v2 = metric_value(metric_set.metrics[1], p, 200)
-        assert scalar_fitness(doubled, metric_set, p) == pytest.approx(
-            scalar_fitness(base, metric_set, p) + 2.0 * v2
+        assert scalar_value(doubled, metric_set, p) == pytest.approx(
+            scalar_value(base, metric_set, p) + 2.0 * v2
         )
 
     def test_intercept_shift_preserves_ranking(self, training):
@@ -155,17 +158,13 @@ class TestScalarFitness:
         a = EnsembleWeights([0.3, 0.7], 0.0)
         b = EnsembleWeights([0.3, 0.7], 123.0)
         ps = [c.presentation for c in training.cases[:10]]
-        rank_a = sorted(range(10), key=lambda i: scalar_fitness(a, metric_set, ps[i]))
-        rank_b = sorted(range(10), key=lambda i: scalar_fitness(b, metric_set, ps[i]))
+        rank_a = sorted(range(10), key=lambda i: scalar_value(a, metric_set, ps[i]))
+        rank_b = sorted(range(10), key=lambda i: scalar_value(b, metric_set, ps[i]))
         assert rank_a == rank_b
 
-    def test_dimension_mismatch(self, training):
-        with pytest.raises(ValueError):
-            scalar_fitness(
-                EnsembleWeights([1.0], 0.0),
-                MetricSet(2, [(), ()]),
-                training.cases[0].presentation,
-            )
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="weight count"):
+            ScalarEnsemble(EnsembleWeights([1.0], 0.0), MetricSet(2, [(), ()]))
 
 
 class TestTrimObjectives:
@@ -228,14 +227,15 @@ class TestModelsAndPersistence:
         )
 
     def test_ensemble_round_trip(self, tmp_path, length_labelled):
-        metric_set = MetricSet(2, [(), (invert_move(0),)])
+        metric_set = MetricSet(2, [(), (invert_move(0), conjugate_move(1, -2))])
         w = fit_weights(metric_set, length_labelled)
         path = str(tmp_path / "model.txt")
-        save_ensemble(w, "metrics.txt", path)
-        loaded, ref = load_ensemble(path)
-        assert ref == "metrics.txt"
-        assert loaded.intercept == w.intercept
-        assert loaded.weights == w.weights
+        save_ensemble(ScalarEnsemble(w, metric_set), path)
+        loaded = load_ensemble(path)
+        assert loaded.weights.intercept == w.intercept
+        assert loaded.weights.weights == w.weights
+        assert loaded.metrics.rank == 2
+        assert loaded.metrics.metrics == metric_set.metrics
 
     def test_objectives_round_trip(self, tmp_path):
         objectives = ObjectiveSet(2, [(invert_move(1),), ()])
@@ -263,28 +263,50 @@ class TestModelsAndPersistence:
             load_objectives(str(path))
 
     @pytest.mark.parametrize(
-        "body, message",
+        "text, message",
         [
             (
-                "metrics: m.txt\nintercept 0.5\nweights: 1.0\n",
-                "model.txt:3: expected 'key: value'",
-            ),
-            ("metrics: m.txt\nweights: 1.0\n", "model.txt: no 'intercept' field"),
-            ("intercept: 0.5\nweights: 1.0\n", "model.txt: no 'metrics' field"),
-            ("metrics: m.txt\nintercept: 0.5\n", "model.txt: no 'weights' field"),
-            (
-                "metrics: m.txt\nintercept: 0.5\n\nweights: 1.0 heavy\n",
-                "model.txt:5: weight 'heavy' is not a number",
+                "# actriv-ensemble intercept=0.5\n1.0\tinv:0\n",
+                "model.txt: header has no 'rank'",
             ),
             (
-                "metrics: m.txt\nintercept: half\nweights: 1.0\n",
-                "model.txt:3: intercept 'half' is not a number",
+                "# actriv-ensemble rank=2\n1.0\tinv:0\n",
+                "model.txt: header has no 'intercept'",
+            ),
+            (
+                "# actriv-ensemble rank=2 intercept=half\n1.0\tinv:0\n",
+                "model.txt: header intercept 'half' is not a number",
+            ),
+            (
+                "# actriv-ensemble rank=2 intercept=0.5\n1.0\tinv:0\n\nheavy\t-\n",
+                "model.txt:4: weight 'heavy' is not a number",
+            ),
+            (
+                "# actriv-ensemble rank=2 intercept=0.5\n1.0\tinv:0\t2.0\n",
+                "model.txt:2: expected 2 tab-separated fields, got 3",
+            ),
+            (
+                "# actriv-ensemble rank=2 intercept=0.5\n1.0\tinv:0\n2.0\tmul:0:7\n",
+                "model.txt:3: bad move code 'mul:0:7'",
+            ),
+            # a `key: value` line of the retired format
+            (
+                "# actriv-ensemble rank=2 intercept=0.5\nmetrics: m.txt\n",
+                "model.txt:2: expected 2 tab-separated fields, got 1",
+            ),
+            # the retired format, which referred to a separate metric file
+            (
+                "# actriv-ensemble\nmetrics: m.txt\nintercept: 0.5\nweights: 1.0\n",
+                "model.txt: header has no 'rank'",
             ),
         ],
-        ids=["colon", "intercept", "metrics", "weights", "weight", "intercept-value"],
+        ids=[
+            "rank", "intercept", "intercept-value", "weight", "weights", "move",
+            "colon", "metrics",
+        ],
     )
-    def test_ensemble_rejects_malformed_file(self, tmp_path, body, message):
+    def test_ensemble_rejects_malformed_file(self, tmp_path, text, message):
         path = tmp_path / "model.txt"
-        path.write_text("# actriv-ensemble\n" + body)
+        path.write_text(text)
         with pytest.raises(ValueError, match=message):
             load_ensemble(str(path))

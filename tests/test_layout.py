@@ -1,0 +1,93 @@
+"""Structural checks over the source of ``actriv``: ``formats`` is a leaf
+module under the rest, and it holds the only code that writes files."""
+
+import ast
+from pathlib import Path
+
+import actriv
+
+PACKAGE = Path(actriv.__file__).parent
+FORMATS_IMPORTS = {"notation", "presentations", "words"}
+
+
+def parse(name):
+    return ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def actriv_imports(tree):
+    """Names of the ``actriv`` modules a module imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.split(".")[0] == "actriv":
+                parts = node.module.split(".")
+                if len(parts) > 1:
+                    found.add(parts[1])
+                else:
+                    found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "actriv" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def open_mode(call):
+    """The mode of an ``open(...)`` call: second argument or ``mode=``."""
+    if len(call.args) > 1:
+        return call.args[1]
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            return keyword.value
+    return ast.Constant("r")
+
+
+def writes(tree):
+    """Lines of the module that open a file for writing or call os.replace."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = open_mode(node)
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                lines.append(node.lineno)
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr in ("replace", "rename")
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "os"
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def modules():
+    return sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def test_formats_is_a_leaf():
+    assert actriv_imports(parse("formats")) <= FORMATS_IMPORTS
+
+
+def test_only_formats_writes_files():
+    found = {
+        name: writes(parse(name)) for name in modules() if name != "formats"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert writes(parse("formats"))
+
+
+def test_checks_see_violations():
+    tree = ast.parse(
+        "import os\nfrom . import ball\nfrom actriv.solver import x\n"
+        "open(p, 'w')\nopen(p, mode='a')\nopen(p, m)\nopen(p)\nos.replace(a, b)\n"
+    )
+    assert actriv_imports(tree) == {"ball", "solver"}
+    assert writes(tree) == [4, 5, 6, 8]

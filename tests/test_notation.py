@@ -1,6 +1,8 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from actriv.catalog import (
     auxiliary_catalog,
@@ -179,3 +181,99 @@ class TestInstanceSimilarity:
         for other in ("T82", "T83"):
             r = get_instance(other).presentation.relators[0]
             assert hamming([abs(x) for x in r81], [abs(x) for x in r]) == 0
+
+
+# Tokens of the notation: generator names in both spellings, exponents,
+# separators and move codes, plus a few symbols the notation does not use.
+NOTATION_TOKENS = list("abcdABCDxX0123456789^-,|<>: \t") + [
+    "x0", "X2", "inv", "mul", "conj", "1", "-",
+]
+WORD_TOKENS = ["a", "b", "c", "A", "B", "C", "d", "x0", "X1", "^", "^2", "^-3",
+               "^999", "1", " "]
+FIELD_TOKENS = ["0", "1", "2", "3", "-1", "a", "b", "C", "x1", "X0", "q", "", " "]
+
+
+def _text(tokens, max_size):
+    return st.lists(st.sampled_from(tokens), max_size=max_size).map("".join)
+
+
+def _joined(part, separator):
+    return st.lists(part, max_size=4).map(separator.join)
+
+
+def fuzz_text(near_valid):
+    """Token soup over the whole alphabet, or text shaped like a valid
+    input.  _parse_word expands a^N into N letters, so exponents stay at
+    3 digits."""
+    return st.one_of(_text(NOTATION_TOKENS, 30), near_valid).filter(
+        lambda text: not re.search(r"\^-?\d{4}", text)
+    )
+
+
+MOVE_TEXT = st.builds(
+    lambda kind, fields: ":".join([kind] + fields),
+    st.sampled_from(["inv", "mul", "conj", "frob"]),
+    st.lists(st.sampled_from(FIELD_TOKENS), max_size=3),
+)
+PRESENTATION_TEXT = st.builds(
+    "<{}|{}>".format,
+    _joined(_text(["a", "b", "c", "x0", "x1", "A", " "], 2), ","),
+    _joined(_text(WORD_TOKENS, 8), ","),
+)
+
+
+def relator_strategy(rank):
+    letters = [g for g in range(-rank, rank + 1) if g]
+    return st.lists(st.sampled_from(letters), max_size=12).map(free_reduce)
+
+
+@st.composite
+def presentations(draw):
+    rank = draw(st.integers(1, 3))
+    relators = [draw(relator_strategy(rank)) for _ in range(rank)]
+    return make_presentation(rank, relators)
+
+
+@st.composite
+def sequences(draw):
+    rank = draw(st.integers(1, 3))
+    moves = enumerate_moves(rank)
+    return rank, tuple(draw(st.lists(st.sampled_from(moves), max_size=12)))
+
+
+class TestFuzz:
+    """Any text over the notation alphabet parses or raises NotationError;
+    no other exception type leaks out of the parsers."""
+
+    @given(fuzz_text(PRESENTATION_TEXT))
+    def test_parse_presentation(self, text):
+        try:
+            p = parse_presentation(text)
+        except NotationError:
+            return
+        assert parse_presentation(format_presentation(p)) == p
+
+    @given(fuzz_text(MOVE_TEXT), st.integers(1, 3))
+    def test_parse_move(self, text, rank):
+        try:
+            m = parse_move(text, rank)
+        except NotationError:
+            return
+        assert parse_move(format_move(m, rank), rank) == m
+
+    @given(fuzz_text(_joined(MOVE_TEXT, " ")), st.integers(1, 3))
+    def test_parse_sequence(self, text, rank):
+        try:
+            seq = parse_sequence(text, rank)
+        except NotationError:
+            return
+        assert parse_sequence(format_sequence(seq, rank), rank) == seq
+
+    @given(presentations())
+    def test_presentation_round_trip(self, p):
+        assert parse_presentation(format_presentation(p)) == p
+
+    @given(sequences())
+    def test_sequence_round_trip(self, case):
+        rank, seq = case
+        assert parse_sequence(format_sequence(seq, rank), rank) == seq

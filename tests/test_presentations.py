@@ -3,14 +3,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from actriv.catalog import get_instance, known_trivializations
-from actriv.notation import format_presentation, parse_presentation
+from actriv.catalog import get_instance
+from actriv.notation import parse_presentation
 from actriv.presentations import (
     CONJUGATE,
     INVERT,
     MULTIPLY,
     apply_move,
-    apply_sequence,
     apply_to_relators,
     canonical_form,
     conjugate_move,
@@ -28,10 +27,6 @@ from reference_moves import reference_apply, total
 
 def P(text):
     return parse_presentation(text)
-
-
-def sorted_display(p):
-    return format_presentation(p, sorted_relators=True)
 
 
 class TestTrivial:
@@ -136,56 +131,6 @@ class TestMoveInverses:
                     assert q.relators[m[1]] == p.relators[m[1]]
                 else:
                     assert q == p
-
-
-class TestApplySequence:
-    def test_t1_published_sequence(self):
-        t1 = get_instance("T1").presentation
-        trace = apply_sequence(t1, known_trivializations()["T1"], 10**6)
-        assert not trace.truncated
-        assert len(trace.steps) == 6
-        assert sorted_display(trace.final) == "<a,b|B,aBA^2>"
-
-    def test_t13_published_sequence(self):
-        t13 = get_instance("T13").presentation
-        trace = apply_sequence(t13, known_trivializations()["T13"], 10**6)
-        assert not trace.truncated
-        assert len(trace.steps) == 7
-        assert sorted_display(trace.final) == "<a,b|A,Ba^2bAbA>"
-
-    def test_empty_sequence(self):
-        p = P("<a,b|ab,ba>")
-        trace = apply_sequence(p, (), 100)
-        assert trace.steps == []
-        assert trace.final == p
-        assert not trace.truncated
-
-    def test_truncation_stops_application(self):
-        p = P("<a,b|abab,baba>")
-        bombs = (multiply_move(0, 1),) * 10
-        trace = apply_sequence(p, bombs, 14)
-        assert trace.truncated
-        assert "14" in trace.truncated_reason
-        assert len(trace.steps) < 10
-        assert total_length(trace.final) >= 14
-
-    def test_truncated_at_start(self):
-        p = P("<a,b|abab,baba>")
-        trace = apply_sequence(p, (invert_move(0),), 8)
-        assert trace.truncated
-        assert trace.steps == []
-
-    def test_matches_iterated_apply_move(self):
-        rng = random.Random(5)
-        moves = enumerate_moves(2)
-        for _ in range(40):
-            p = random_presentation(rng)
-            seq = tuple(rng.choice(moves) for _ in range(rng.randrange(0, 12)))
-            trace = apply_sequence(p, seq, 10**6)
-            current = p
-            for (m, stored) in trace.steps:
-                current = apply_move(current, m)
-                assert stored == current
 
 
 class TestTotalLength:

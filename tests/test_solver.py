@@ -16,12 +16,14 @@ from actriv.ensemble import (
 from actriv.metrics import MetricSet
 from actriv.presentations import (
     Presentation,
+    apply_move,
     canonical_relators,
     conjugate_move,
     enumerate_moves,
     inverse_moves,
     invert_move,
     multiply_move,
+    trivial_presentation,
 )
 from actriv.solver import (
     SolverConfig,
@@ -532,6 +534,44 @@ class TestRunSearch:
             pytest.skip("seed did not solve at this tiny scale")
         proof = verify(t1, out.sequence, small_ball, "T1")
         assert proof.verified
+
+
+class TestRank3:
+    """Search and verification beyond the rank-2 instances of the catalog."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        ball = build_ball(3, 8, 3)
+        instance = trivial_presentation(3)
+        for m in [multiply_move(0, 1), multiply_move(0, 2), multiply_move(1, 0),
+                  conjugate_move(2, 1), conjugate_move(0, -3)]:
+            instance = apply_move(instance, m)
+        assert instance not in ball
+        training = sample_cases(ball, 40, rng_seed=2)
+        metric_set = MetricSet(
+            3,
+            [
+                (),
+                (multiply_move(0, 1), invert_move(2)),
+                (conjugate_move(2, 3), multiply_move(1, 2)),
+            ],
+        )
+        models = {
+            "single": ScalarEnsemble(fit_weights(metric_set, training), metric_set),
+            "multi": trim_objectives(metric_set, training, k=2),
+        }
+        return ball, instance, models
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_solves_and_verifies(self, setting, mode, seed):
+        from actriv.proof import verify
+
+        ball, instance, models = setting
+        cfg = tiny_config(mode=mode, max_generations=30)
+        out = run_search(instance, models[mode], ball, cfg, seed=seed)
+        assert out.outcome == "solved"
+        assert verify(instance, out.sequence, ball).verified
 
 
 class TestCampaign:

@@ -26,6 +26,9 @@ from .presentations import (
 from .words import Word, shortlex_key
 
 _ASCII_GENS = "abcdefghijklmnopqrstuvwxyz"
+# the longest word a text may spell out, so a large exponent fails before
+# it allocates
+MAX_WORD_LENGTH = 100_000
 
 
 class NotationError(ValueError):
@@ -116,9 +119,16 @@ def _parse_word(text: str, tokens: dict[str, int], max_len: int) -> list[int]:
                 pos += 1
             if pos == start or text[start:pos] == "-":
                 raise NotationError(f"malformed exponent in {text!r}")
-            count = int(text[start:pos])
+            try:
+                count = int(text[start:pos])
+            except ValueError as exc:  # more digits than int() accepts
+                raise NotationError(f"exponent too large in {text!r}") from exc
         if count < 0:
             letter, count = -letter, -count
+        if len(letters) + count > MAX_WORD_LENGTH:
+            raise NotationError(
+                f"word longer than {MAX_WORD_LENGTH} letters in {text!r}"
+            )
         letters.extend([letter] * count)
     return letters
 

@@ -18,7 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ball import Ball, lookup
-from .notation import format_letter, format_presentation, format_word
+from .notation import (
+    MAX_WORD_LENGTH as REPLAY_LENGTH_CAP,
+    format_letter,
+    format_presentation,
+    format_word,
+)
 from .presentations import (
     CONJUGATE,
     INVERT,
@@ -30,8 +35,6 @@ from .presentations import (
     total_length,
     trivial_presentation,
 )
-
-REPLAY_LENGTH_CAP = 100_000
 
 
 @dataclass

@@ -6,6 +6,10 @@ trivialization ball; the reported trivialization length is the shortest
 such prefix.  Candidates outside the 8..70 length band, or whose trace
 reaches total relator length 200, are penalized with the worst possible
 fitness and can never win a tournament against an unpenalized candidate.
+Mutants share most of their trace with their parents, so a run keeps one
+memo from relator tuple to ball membership: a state is canonicalized the
+first time the run reaches it, inside the ball's length cap, and looked up
+after that.
 
 Selection is tournament-of-7 on the ensemble scalar (single-objective
 mode) or on Pareto rank with crowding-distance tie-break over the trimmed
@@ -99,14 +103,28 @@ class RunResult:
     trajectory: list[tuple[int, float]] = field(default_factory=list)
 
 
+def _in_ball(rels, members, known: dict) -> bool:
+    """Ball membership of the relators ``rels``, memoized in ``known``."""
+    state = tuple(rels)
+    hit = known.get(state)
+    if hit is None:
+        hit = known[state] = canonical_relators(state) in members
+    return hit
+
+
 def evaluate_candidate(
     s: MoveSequence,
     instance: Presentation,
     model,
     ball: Ball,
     cfg: SolverConfig,
+    known: dict | None = None,
 ) -> Evaluation:
-    """Penalties, success detection, then fitness at the final presentation."""
+    """Penalties, success detection, then fitness at the final presentation.
+
+    ``known`` memoizes ball membership by relator tuple; one dict may serve
+    every candidate checked against the same ball.
+    """
     if len(s) < cfg.min_length:
         return Evaluation("penalized", "too_short")
     if len(s) > cfg.max_length:
@@ -114,18 +132,20 @@ def evaluate_candidate(
     rank = instance.rank
     if ball.rank != rank:
         raise ValueError("ball rank does not match instance rank")
+    if known is None:
+        known = {}
     ball_cap = ball.max_total_length
     members = ball.members
     length_cap = cfg.relator_length_cap
     rels = list(instance.relators)
     total = sum(map(len, rels))
-    if total <= ball_cap and canonical_relators(rels) in members:
+    if total <= ball_cap and _in_ball(rels, members, known):
         return Evaluation("success", prefix_length=0)
     if total >= length_cap:
         return Evaluation("penalized", "relator_cap")
     for step, m in enumerate(s, start=1):
         total += apply_to_relators(rels, m)
-        if total <= ball_cap and canonical_relators(rels) in members:
+        if total <= ball_cap and _in_ball(rels, members, known):
             return Evaluation("success", prefix_length=step)
         if total >= length_cap:
             return Evaluation("penalized", "relator_cap")
@@ -256,11 +276,12 @@ def run_search(
             trajectory=trajectory,
         )
 
+    known: dict = {}  # ball membership by relator tuple, for this run
     generations = evolve(
         instance.rank,
         cfg,
         random.Random(seed),
-        lambda d: evaluate_candidate(d, instance, model, ball, cfg),
+        lambda d: evaluate_candidate(d, instance, model, ball, cfg, known),
         lambda evals: _selection_keys(evals, cfg.mode),
     )
     for generation, (population, evals) in enumerate(generations):

@@ -8,21 +8,25 @@ identity.
 The total order used everywhere is shortlex: shorter words first, equal
 lengths compared letter-wise with generator index ascending and the
 positive letter before its inverse (a < A < b < B < ...).
+``letter_codes`` spells a word in integers of that letter order, so code
+tuples of equal length compare in shortlex order.
 """
 
 from __future__ import annotations
 
 import operator
 
-Letter = int
 Word = tuple[int, ...]
 
 EMPTY: Word = ()
 
 
-def letter_key(letter: Letter) -> int:
-    # a -> 0, A -> 1, b -> 2, B -> 3, ...
-    return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
+def letter_codes(w: Word) -> tuple[int, ...]:
+    """The letters of w as codes a -> 0, A -> 1, b -> 2, B -> 3, ...
+
+    Code tuples of equal length compare in shortlex order.
+    """
+    return tuple([2 * x - 2 if x > 0 else -2 * x - 1 for x in w])
 
 
 def free_reduce(raw) -> Word:
@@ -64,7 +68,7 @@ def concat_reduce(u: Word, v: Word) -> Word:
 
 def shortlex_key(w: Word) -> tuple:
     """Sort key realizing the shortlex order."""
-    return (len(w), tuple(letter_key(x) for x in w))
+    return (len(w), letter_codes(w))
 
 
 def shortlex_cmp(u: Word, v: Word) -> int:
@@ -94,15 +98,13 @@ def canonical_rep(w: Word) -> Word:
         return w
     iw = invert_word(w)
     if not is_cyclically_reduced(w):
-        return w if shortlex_cmp(w, iw) <= 0 else iw
-    best = None
-    best_key = None
-    for cand in (w, iw):
-        doubled = cand + cand
-        for i in range(n):
-            rot = doubled[i : i + n]
-            key = tuple(letter_key(x) for x in rot)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = rot
-    return best
+        return w if letter_codes(w) <= letter_codes(iw) else iw
+    # the rotations of w, then of iw, as slices of their doubled codes
+    rotations = []
+    for word in (w, iw):
+        codes = letter_codes(word) * 2
+        rotations += [codes[i : i + n] for i in range(n)]
+    k = min(range(2 * n), key=rotations.__getitem__)
+    word = w if k < n else iw
+    k %= n
+    return word[k:] + word[:k]

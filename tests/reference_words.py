@@ -1,0 +1,54 @@
+"""The word kernel's order and canonical form before letter codes: a key
+per letter, built again for every rotation.  Differential tests compare
+``actriv.words`` against these."""
+
+from actriv.words import Word, invert_word, is_cyclically_reduced
+
+Letter = int
+
+
+def letter_key(letter: Letter) -> int:
+    # a -> 0, A -> 1, b -> 2, B -> 3, ...
+    return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
+
+
+def shortlex_key(w: Word) -> tuple:
+    """Sort key realizing the shortlex order."""
+    return (len(w), tuple(letter_key(x) for x in w))
+
+
+def shortlex_cmp(u: Word, v: Word) -> int:
+    """-1, 0 or +1 as u sorts before, equal to, or after v in shortlex."""
+    ku, kv = shortlex_key(u), shortlex_key(v)
+    if ku < kv:
+        return -1
+    if ku > kv:
+        return 1
+    return 0
+
+
+def canonical_rep(w: Word) -> Word:
+    """Shortlex-least freely reduced cyclic rotation of w or of its inverse.
+
+    Rotations that are not freely reduced are excluded rather than reduced,
+    so the result always has the same length as w.  For a word that is not
+    cyclically reduced, every nontrivial rotation introduces a cancelling
+    wrap-around pair, leaving only w and its inverse as candidates.
+    """
+    n = len(w)
+    if n == 0:
+        return w
+    iw = invert_word(w)
+    if not is_cyclically_reduced(w):
+        return w if shortlex_cmp(w, iw) <= 0 else iw
+    best = None
+    best_key = None
+    for cand in (w, iw):
+        doubled = cand + cand
+        for i in range(n):
+            rot = doubled[i : i + n]
+            key = tuple(letter_key(x) for x in rot)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = rot
+    return best

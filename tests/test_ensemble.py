@@ -253,8 +253,10 @@ class TestModelsAndPersistence:
                 "# actriv-objectives rank=2\ninv:1\nmul:0:7\n",
                 "objectives.txt:3: bad move",
             ),
+            # a header alone would give multi mode no objective at all
+            ("# actriv-objectives rank=2\n\n", "objectives.txt: no objectives"),
         ],
-        ids=["rank", "sequence"],
+        ids=["rank", "sequence", "empty"],
     )
     def test_objectives_reject_malformed_file(self, tmp_path, text, message):
         path = tmp_path / "objectives.txt"
@@ -299,10 +301,12 @@ class TestModelsAndPersistence:
                 "# actriv-ensemble\nmetrics: m.txt\nintercept: 0.5\nweights: 1.0\n",
                 "model.txt: header has no 'rank'",
             ),
+            # a header alone would be a constant model
+            ("# actriv-ensemble rank=2 intercept=3.5\n", "model.txt: no metrics"),
         ],
         ids=[
             "rank", "intercept", "intercept-value", "weight", "weights", "move",
-            "colon", "metrics",
+            "colon", "metrics", "empty",
         ],
     )
     def test_ensemble_rejects_malformed_file(self, tmp_path, text, message):

@@ -1,12 +1,16 @@
 """Structural checks over the source of ``actriv``: ``formats`` is a leaf
-module under the rest, and it holds the only code that writes files."""
+module under the rest, it holds the only code that writes files, and every
+name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import actriv
 
 PACKAGE = Path(actriv.__file__).parent
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 FORMATS_IMPORTS = {"notation", "presentations", "words"}
 
 
@@ -91,3 +95,16 @@ def test_checks_see_violations():
     )
     assert actriv_imports(tree) == {"ball", "solver"}
     assert writes(tree) == [4, 5, 6, 8]
+
+
+def test_tracer_targets_exist(monkeypatch):
+    """``bench/tracing.py`` wraps library names by attribute; a rename
+    there would otherwise only surface as a broken ``--trace 1`` run."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for target in tracing.TARGETS:
+        assert callable(target.get()), target.label

@@ -1,9 +1,11 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from actriv import formats
 from actriv.catalog import (
     auxiliary_catalog,
     catalog,
@@ -11,6 +13,7 @@ from actriv.catalog import (
     known_trivializations,
 )
 from actriv.notation import (
+    MAX_WORD_LENGTH,
     NotationError,
     format_move,
     format_presentation,
@@ -54,6 +57,32 @@ class TestParse:
             parse_presentation("<a,b| a^, b >")
         with pytest.raises(NotationError):
             parse_presentation("<a,b| a^x, b >")
+
+    def test_word_length_bound(self):
+        assert MAX_WORD_LENGTH == 100_000
+        p = parse_presentation(f"<a,b| ab^{MAX_WORD_LENGTH - 1}, b >")
+        assert total_length(p) == MAX_WORD_LENGTH + 1
+        for text in (
+            f"<a,b| a^{MAX_WORD_LENGTH + 1}, b >",
+            f"<a,b| a^2b^{MAX_WORD_LENGTH - 1}, b >",
+            f"<a,b| a^-{MAX_WORD_LENGTH + 1}, b >",
+        ):
+            with pytest.raises(NotationError, match="longer than 100000 letters"):
+                parse_presentation(text)
+
+    def test_huge_exponent_fails_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotationError, match="longer than"):
+                parse_presentation("<a,b|a^999999999,b>")
+            with pytest.raises(NotationError, match="exponent too large"):
+                parse_presentation("<a,b|a^" + "9" * 5000 + ",b>")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        with pytest.raises(ValueError, match=r"^ball\.txt:7: word longer than"):
+            formats.parse_presentation("<a,b|a^999999999,b>", 2, "ball.txt:7")
 
     def test_x_style_generators(self):
         p = parse_presentation("<x0,x1| x0^2x1X0X1, x1^2x0X1X0 >")

@@ -327,6 +327,74 @@ class TestEvaluateCandidate:
             ("penalized", "relator_cap"),
         }
 
+    def test_shared_memo_matches_fresh_calls(self, small_ball, scalar_model):
+        rng = random.Random(23)
+        member = Presentation(2, next(iter(small_ball.members)))
+        starts = [get_instance(name).presentation for name in ("T1", "T13", "AK3")]
+        cases = []
+        for trial in range(480):
+            cfg = tiny_config(relator_length_cap=rng.choice([20, 40, 200]))
+            if trial % 3 == 0:
+                instance, s = near_ball_case(small_ball, rng)
+            elif trial % 3 == 1:
+                instance = rng.choice(starts + [member])
+                s = random_sequence(2, rng.randrange(6, 74), rng)
+            else:
+                # a repeat of an earlier case, or a mutant of one
+                instance, s, cfg = rng.choice(cases)
+                s = mutate(s, 2, rng)
+            cases.append((instance, s, cfg))
+        rng.shuffle(cases)
+        known = {}
+        later = set()
+        for instance, s, cfg in cases:
+            out = evaluate_candidate(s, instance, scalar_model, small_ball, cfg, known)
+            fresh = evaluate_candidate(s, instance, scalar_model, small_ball, cfg, None)
+            assert out == fresh
+            if out.status == "success":
+                later.add(out.prefix_length > 0)
+        # successes at prefix 0 and at a later step
+        assert later == {False, True}
+        assert known
+
+    def test_memo_miss_canonicalizes_and_repeat_does_not(
+        self, small_ball, scalar_model, monkeypatch
+    ):
+        calls = []
+
+        def counting(rels):
+            calls.append(tuple(rels))
+            return canonical_relators(rels)
+
+        monkeypatch.setattr(solver, "canonical_relators", counting)
+        cap = small_ball.max_total_length
+        cfg = tiny_config()
+        rng = random.Random(29)
+        known, checked = {}, set()
+        for _ in range(60):
+            instance, s = near_ball_case(small_ball, rng)
+            if len(s) < cfg.min_length:
+                continue
+            # the states the check reaches: in-cap ones, up to the first
+            # member or the relator cap
+            reached = set()
+            for rels in reference_trace(instance.relators, s):
+                if total(rels) <= cap:
+                    reached.add(rels)
+                    if canonical_relators(rels) in small_ball.members:
+                        break
+                if total(rels) >= cfg.relator_length_cap:
+                    break
+            before = len(calls)
+            evaluate_candidate(s, instance, scalar_model, small_ball, cfg, known)
+            assert sorted(calls[before:]) == sorted(reached - checked)
+            checked |= reached
+            before = len(calls)
+            evaluate_candidate(s, instance, scalar_model, small_ball, cfg, known)
+            assert len(calls) == before
+        assert set(known) == checked
+        assert len(calls) == len(checked) > 0
+
     def test_ok_multi_mode(self, small_ball, objective_model):
         cfg = tiny_config(mode="multi")
         s = (multiply_move(0, 1),) * 8

@@ -13,6 +13,7 @@ from actriv.words import (
     shortlex_cmp,
     shortlex_key,
 )
+import reference_words
 
 LETTERS = {"a": 1, "A": -1, "b": 2, "B": -2, "c": 3, "C": -3}
 
@@ -185,3 +186,49 @@ class TestCanonicalRep:
     def test_cyclically_reduced_detection(self):
         assert is_cyclically_reduced(W("ab"))
         assert not is_cyclically_reduced(W("Aba"))
+
+
+@st.composite
+def ranked_words(draw):
+    """A freely reduced word of rank 1-3 and length 0-20; half of them are
+    conjugated by a letter, so many are not cyclically reduced."""
+    rank = draw(st.integers(1, 3))
+    alphabet = st.sampled_from([x for g in range(1, rank + 1) for x in (g, -g)])
+    w = free_reduce(draw(st.lists(alphabet, max_size=18)))
+    if draw(st.booleans()):
+        c = draw(alphabet)
+        w = free_reduce((c,) + w + (-c,))
+    return w
+
+
+def all_reduced_words(rank, max_length):
+    alphabet = [x for g in range(1, rank + 1) for x in (g, -g)]
+    level = [()]
+    for _ in range(max_length + 1):
+        yield from level
+        level = [w + (x,) for w in level for x in alphabet if not w or w[-1] != -x]
+
+
+class TestAgainstReference:
+    """The letter-code kernel against the per-letter-key kernel it replaced."""
+
+    @given(ranked_words())
+    def test_canonical_rep(self, w):
+        assert canonical_rep(w) == reference_words.canonical_rep(w)
+
+    @given(st.lists(ranked_words(), max_size=12))
+    def test_sort_order(self, ws):
+        assert sorted(ws, key=shortlex_key) == sorted(
+            ws, key=reference_words.shortlex_key
+        )
+
+    def test_every_short_word(self):
+        ws = list(all_reduced_words(2, 6))
+        assert sum(not is_cyclically_reduced(w) for w in ws) > 100
+        for w in ws:
+            assert canonical_rep(w) == reference_words.canonical_rep(w)
+        rng = random.Random(12)
+        rng.shuffle(ws)
+        assert sorted(ws, key=shortlex_key) == sorted(
+            ws, key=reference_words.shortlex_key
+        )

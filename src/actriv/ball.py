@@ -5,7 +5,8 @@ are applied to its canonical representative; children are deduplicated by
 canonical form, so depths are exact shortest-path lengths in that class
 graph and independent of traversal order.  A child whose total relator
 length exceeds ``max_total_length`` is discarded; one that reaches it
-exactly is recorded but never expanded.
+exactly is recorded but never expanded.  ``load_ball`` rebuilds every
+member from its parent and move with the same BFS step, ``_child``.
 
 Membership of a presentation is membership of its canonical class.
 ``lookup`` additionally reconstructs an explicit move path back to the
@@ -72,15 +73,12 @@ class Ball:
     def __len__(self) -> int:
         return len(self.members)
 
-    def key_of(self, p: Presentation) -> BallKey:
-        return canonical_relators(p.relators)
-
     def depth_of(self, p: Presentation) -> int | None:
-        info = self.members.get(self.key_of(p))
+        info = self.members.get(canonical_relators(p.relators))
         return None if info is None else info[0]
 
     def __contains__(self, p: Presentation) -> bool:
-        return self.key_of(p) in self.members
+        return canonical_relators(p.relators) in self.members
 
     def depth_census(self) -> dict[int, int]:
         census: dict[int, int] = {}
@@ -106,6 +104,23 @@ class BallCapacityError(RuntimeError):
         self.partial = partial
 
 
+def _root(rank: int) -> BallKey:
+    return canonical_relators(trivial_presentation(rank).relators)
+
+
+def _child(key: BallKey, move: AcMove, room: int) -> tuple[BallKey | None, int]:
+    """The BFS step: the key of the class ``move`` takes ``key`` to, and the
+    change in total relator length.  The key is None when that change
+    exceeds ``room``, so a child past the length cap is never canonicalized."""
+    rels = list(key)
+    delta = apply_to_relators(rels, move)
+    if delta > room:
+        return None, delta
+    i = move[1]
+    rels[i] = canonical_rep(rels[i])
+    return tuple(sorted(rels, key=shortlex_key)), delta
+
+
 def build_ball(
     rank: int,
     max_total_length: int,
@@ -116,7 +131,7 @@ def build_ball(
     if max_total_length < 1 or max_depth < 1:
         raise ValueError("limits must be >= 1")
     moves = enumerate_moves(rank)
-    root = canonical_relators(trivial_presentation(rank).relators)
+    root = _root(rank)
     ball = Ball(rank, max_total_length, max_depth)
     ball.members[root] = (0, None, None)
     root_total = sum(len(r) for r in root)
@@ -126,21 +141,16 @@ def build_ball(
     while queue:
         key, depth, total = queue.popleft()
         child_depth = depth + 1
+        room = max_total_length - total
         for m in moves:
-            rels = list(key)
-            new_total = total + apply_to_relators(rels, m)
-            if new_total > max_total_length:
-                continue
-            i = m[1]
-            rels[i] = canonical_rep(rels[i])
-            child = tuple(sorted(rels, key=shortlex_key))
-            if child in ball.members:
+            child, delta = _child(key, m, room)
+            if child is None or child in ball.members:
                 continue
             ball.members[child] = (child_depth, key, m)
             if max_members is not None and len(ball.members) > max_members:
                 raise BallCapacityError(ball, max_members)
-            if child_depth < max_depth and new_total < max_total_length:
-                queue.append((child, child_depth, new_total))
+            if child_depth < max_depth and delta < room:
+                queue.append((child, child_depth, total + delta))
     return ball
 
 
@@ -254,7 +264,7 @@ def _align(current: list[Word], target: BallKey, path: list[AcMove]) -> list[int
 def lookup(ball: Ball, p: Presentation) -> tuple[int, MoveSequence] | None:
     """Depth and an explicit move path from p to the trivial class, if p's
     canonical class is in the ball."""
-    key = ball.key_of(p)
+    key = canonical_relators(p.relators)
     info = ball.members.get(key)
     if info is None:
         return None
@@ -307,36 +317,56 @@ def save_ball(ball: Ball, path: str) -> None:
 
 
 def load_ball(path: str) -> Ball:
+    """Read a ball written by ``save_ball``.  Each member is replayed from
+    its parent and move; its stored text only has to agree with the
+    replayed key.  Every error names ``path:line``."""
     with formats.read_file(path, "ball", 4) as (header, records):
-        ball = Ball(
-            rank=header.int("rank"),
-            max_total_length=header.int("max_total_length"),
-            max_depth=header.int("max_depth"),
-        )
+        ball = Ball(*map(header.int, ("rank", "max_total_length", "max_depth")))
+        rank, cap, members = ball.rank, ball.max_total_length, ball.members
         order: list[BallKey] = []
         for where, (text, depth, parent_idx, code) in records:
-            key = formats.parse_presentation(text, ball.rank, where).relators
-            if key != canonical_relators(key):
-                raise ValueError(f"{where}: presentation not canonical")
-            if key in ball.members:
-                raise ValueError(f"{where}: duplicate presentation")
             depth = formats.parse_int(depth, "depth", where)
-            if parent_idx == "-1":
-                parent, parent_depth = None, -1
-            else:
+            parent, parent_depth = None, -1
+            if parent_idx != "-1":
                 idx = formats.parse_int(parent_idx, "parent index", where)
                 if not 0 <= idx < len(order):
                     raise ValueError(
                         f"{where}: parent index {idx} is not an earlier member"
                     )
                 parent = order[idx]
-                parent_depth = ball.members[parent][0]
+                parent_depth = members[parent][0]
             if depth != parent_depth + 1:
                 raise ValueError(f"{where}: depth {depth} is not parent depth + 1")
-            move = None if code == "-" else formats.parse_move(code, ball.rank, where)
-            ball.members[key] = (depth, parent, move)
+            if parent is None:
+                if order:
+                    raise ValueError(f"{where}: a second root")
+                if code != "-":
+                    raise ValueError(f"{where}: root move {code!r} is not '-'")
+                key, move = _root(rank), None
+            else:
+                if depth > ball.max_depth:
+                    raise ValueError(
+                        f"{where}: depth {depth} exceeds max_depth {ball.max_depth}"
+                    )
+                move = formats.parse_move(code, rank, where)
+                total = sum(len(r) for r in parent)
+                key, delta = _child(parent, move, cap - total)
+                if key is None:
+                    raise ValueError(
+                        f"{where}: total length {total + delta} exceeds "
+                        f"max_total_length {cap}"
+                    )
+            if key in members:
+                raise ValueError(f"{where}: duplicate presentation")
+            if text != notation.format_presentation(Presentation(rank, key)):
+                if formats.parse_presentation(text, rank, where).relators != key:
+                    raise ValueError(
+                        f"{where}: presentation does not follow from its parent "
+                        "and move"
+                    )
+            members[key] = (depth, parent, move)
             order.append(key)
-    if not ball.members:
+    if not members:
         raise ValueError(f"{path}: empty ball file")
     return ball
 

@@ -30,8 +30,9 @@ from . import solver as solver_mod
 from .presentations import Presentation
 
 
-def _read_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _read_config(path: str) -> dict[str, tuple[str, str]]:
+    """The config file's ``key -> (path:line, value)``."""
+    values: dict[str, tuple[str, str]] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -40,7 +41,7 @@ def _read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise SystemExit(f"{path}:{line_no}: expected key=value")
             key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            values[key.strip()] = (f"{path}:{line_no}", value.strip())
     return values
 
 
@@ -48,16 +49,23 @@ def _read_config(path: str) -> dict[str, str]:
 _CONFIG_FIELDS = {
     f.name: type(f.default) for f in dataclasses.fields(solver_mod.SolverConfig)
 }
-_CONFIG_FIELDS["stop_on_first_solve"] = lambda s: s.lower() in ("1", "true", "yes")
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_EXPECTED = {int: "an integer", float: "a number", bool: "one of " + "/".join(_FLAGS)}
 
 
 def _solver_config(args) -> solver_mod.SolverConfig:
     cfg = solver_mod.SolverConfig()
     if args.config:
-        for key, raw in _read_config(args.config).items():
+        for key, (where, raw) in _read_config(args.config).items():
             if key not in _CONFIG_FIELDS:
-                raise SystemExit(f"unknown config key {key!r}")
-            setattr(cfg, key, _CONFIG_FIELDS[key](raw))
+                raise SystemExit(f"{where}: unknown config key {key!r}")
+            kind = _CONFIG_FIELDS[key]
+            try:
+                setattr(cfg, key, _FLAGS[raw.lower()] if kind is bool else kind(raw))
+            except (KeyError, ValueError):
+                raise SystemExit(
+                    f"{where}: {key} {raw!r} is not {_EXPECTED[kind]}"
+                ) from None
     for key in _CONFIG_FIELDS:
         value = getattr(args, key, None)
         if value is not None:
@@ -212,7 +220,10 @@ def _cmd_verify(args) -> int:
         text = " ".join(
             line.split("#", 1)[0] for line in fh
         )
-    sequence = notation.parse_sequence(text, instance.rank)
+    try:
+        sequence = formats.parse_sequence(text, instance.rank, args.sequence)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     result = proof_mod.verify(instance, sequence, built, instance_id)
     listing = result.to_text()
     if args.out:

@@ -46,22 +46,6 @@ from .presentations import (
 )
 from .variation import mutate, random_sequence  # re-exported; evolve calls them
 
-__all__ = [
-    "SolverConfig",
-    "Evaluation",
-    "RunResult",
-    "mutate",
-    "random_sequence",
-    "evaluate_candidate",
-    "nondominated_sort",
-    "crowding_distance",
-    "run_search",
-    "run_campaign",
-    "result_record",
-    "write_results_jsonl",
-    "write_summary_csv",
-]
-
 WORST_SCALAR = math.inf
 
 

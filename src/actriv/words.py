@@ -18,8 +18,6 @@ import operator
 
 Word = tuple[int, ...]
 
-EMPTY: Word = ()
-
 
 def letter_codes(w: Word) -> tuple[int, ...]:
     """The letters of w as codes a -> 0, A -> 1, b -> 2, B -> 3, ...

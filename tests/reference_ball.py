@@ -1,0 +1,42 @@
+"""The ball loader before replay: it parses every presentation and checks
+that it is canonical, but never that a member follows from its parent and
+move.  Differential tests compare ``actriv.ball.load_ball`` against it."""
+
+from actriv import formats
+from actriv.ball import Ball, BallKey
+from actriv.presentations import canonical_relators
+
+
+def load_ball(path: str) -> Ball:
+    with formats.read_file(path, "ball", 4) as (header, records):
+        ball = Ball(
+            rank=header.int("rank"),
+            max_total_length=header.int("max_total_length"),
+            max_depth=header.int("max_depth"),
+        )
+        order: list[BallKey] = []
+        for where, (text, depth, parent_idx, code) in records:
+            key = formats.parse_presentation(text, ball.rank, where).relators
+            if key != canonical_relators(key):
+                raise ValueError(f"{where}: presentation not canonical")
+            if key in ball.members:
+                raise ValueError(f"{where}: duplicate presentation")
+            depth = formats.parse_int(depth, "depth", where)
+            if parent_idx == "-1":
+                parent, parent_depth = None, -1
+            else:
+                idx = formats.parse_int(parent_idx, "parent index", where)
+                if not 0 <= idx < len(order):
+                    raise ValueError(
+                        f"{where}: parent index {idx} is not an earlier member"
+                    )
+                parent = order[idx]
+                parent_depth = ball.members[parent][0]
+            if depth != parent_depth + 1:
+                raise ValueError(f"{where}: depth {depth} is not parent depth + 1")
+            move = None if code == "-" else formats.parse_move(code, ball.rank, where)
+            ball.members[key] = (depth, parent, move)
+            order.append(key)
+    if not ball.members:
+        raise ValueError(f"{path}: empty ball file")
+    return ball

@@ -23,6 +23,7 @@ from actriv.presentations import (
     trivial_presentation,
 )
 from reference_moves import reference_apply, reference_trace, total
+import reference_ball
 
 
 def reference_bfs(rank, max_total_length, max_depth, seed=0):
@@ -212,6 +213,93 @@ class TestLookup:
             lookup(ball, Presentation(2, key))
 
 
+BAD_PARENT_LINKS = [
+    (2, "-2", "parent index -2"),
+    (2, "9999", "parent index 9999"),
+    (2, "7", "parent index 7"),
+    (2, "-1", "depth 2"),
+    (2, "0", "depth 2"),
+    (1, "3", "depth 3"),
+]
+MALFORMED_LINES = [
+    (1, "x", "depth 'x' is not an integer"),
+    (2, "y", "parent index 'y' is not an integer"),
+    (3, None, "expected 4 tab-separated fields, got 3"),
+    (0, "<a,b|ab,c>", "unknown generator symbol"),
+    (3, "mul:0:7", "bad move code 'mul:0:7'"),
+    (0, "<a,b,c|a,b,c>", "3 relators in a rank 2 file"),
+]
+# corruptions that a loader which only parses the text accepts
+LINES_ONLY_REPLAY_REJECTS = [
+    # the move of the next member: the text no longer follows from it
+    (3, "mul:1:0", "presentation does not follow from its parent and move"),
+]
+
+
+def swap_texts(lines):
+    # members 7 and 8, both children of member 1; each text stays canonical
+    first, second = lines[8].split("\t"), lines[9].split("\t")
+    first[0], second[0] = second[0], first[0]
+    lines[8], lines[9] = "\t".join(first), "\t".join(second)
+
+
+def add_second_root(lines):
+    # the canonical form of T1, which is not in the ball
+    lines.append("<a,b|a^2bAB,abAB^2>\t0\t-1\t-")
+
+
+def give_the_root_a_move(lines):
+    lines[1] = lines[1].removesuffix("\t-") + "\tinv:0"
+
+
+def lower_max_total_length(lines):
+    lines[0] = "# actriv-ball rank=2 max_total_length=5 max_depth=2"
+
+
+def lower_max_depth(lines):
+    lines[0] = "# actriv-ball rank=2 max_total_length=6 max_depth=1"
+
+
+# whole-file edits that a loader which only parses the text accepts:
+# (edit, line of the error, message)
+FILES_ONLY_REPLAY_REJECTS = [
+    (swap_texts, 9, "presentation does not follow from its parent and move"),
+    (add_second_root, 38, "a second root"),
+    (give_the_root_a_move, 2, "root move 'inv:0' is not '-'"),
+    (lower_max_total_length, 21, "total length 6 exceeds max_total_length 5"),
+    (lower_max_depth, 9, "depth 2 exceeds max_depth 1"),
+]
+FILE_EDIT_IDS = [edit.__name__ for edit, _, _ in FILES_ONLY_REPLAY_REJECTS]
+
+
+def edited_ball(tmp_path, edit):
+    """The 6/2 ball saved, then its lines changed in place by ``edit``;
+    returns the file's path."""
+    path = tmp_path / "ball.tsv"
+    save_ball(build_ball(2, 6, 2), str(path))
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def corrupted_ball(tmp_path, field, value):
+    """The 6/2 ball saved with one field of line 9 replaced, or deleted
+    when ``value`` is None; returns the file's path."""
+
+    def edit(lines):
+        # lines[8] holds member 7, a depth-2 child of member 1
+        cells = lines[8].split("\t")
+        assert cells[1:] == ["2", "1", "mul:0:1"]
+        if value is None:
+            del cells[field]
+        else:
+            cells[field] = value
+        lines[8] = "\t".join(cells)
+
+    return edited_ball(tmp_path, edit)
+
+
 class TestPersistence:
     def test_ball_round_trip(self, tmp_path):
         ball = build_ball(2, 8, 4)
@@ -257,56 +345,19 @@ class TestPersistence:
         assert loaded.rank == 3
         assert loaded.cases == training.cases
 
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            (2, "-2", "parent index -2"),
-            (2, "9999", "parent index 9999"),
-            (2, "7", "parent index 7"),
-            (2, "-1", "depth 2"),
-            (2, "0", "depth 2"),
-            (1, "3", "depth 3"),
-        ],
-    )
+    @pytest.mark.parametrize("field, value, message", BAD_PARENT_LINKS)
     def test_rejects_bad_parent_link(self, tmp_path, field, value, message):
-        ball = build_ball(2, 6, 2)
-        path = tmp_path / "ball.tsv"
-        save_ball(ball, str(path))
-        lines = path.read_text().splitlines()
-        # lines[8] holds member 7, a depth-2 child of member 1
-        cells = lines[8].split("\t")
-        assert cells[1:3] == ["2", "1"]
-        cells[field] = value
-        lines[8] = "\t".join(cells)
-        path.write_text("\n".join(lines) + "\n")
+        path = corrupted_ball(tmp_path, field, value)
         with pytest.raises(ValueError, match=f"ball.tsv:9: {message}"):
-            load_ball(str(path))
+            load_ball(path)
 
     @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            (1, "x", "depth 'x' is not an integer"),
-            (2, "y", "parent index 'y' is not an integer"),
-            (3, None, "expected 4 tab-separated fields, got 3"),
-            (0, "<a,b|ab,c>", "unknown generator symbol"),
-            (3, "mul:0:7", "bad move code 'mul:0:7'"),
-            (0, "<a,b,c|a,b,c>", "3 relators in a rank 2 file"),
-        ],
+        "field, value, message", MALFORMED_LINES + LINES_ONLY_REPLAY_REJECTS
     )
     def test_rejects_malformed_line(self, tmp_path, field, value, message):
-        ball = build_ball(2, 6, 2)
-        path = tmp_path / "ball.tsv"
-        save_ball(ball, str(path))
-        lines = path.read_text().splitlines()
-        cells = lines[8].split("\t")
-        if value is None:
-            del cells[field]
-        else:
-            cells[field] = value
-        lines[8] = "\t".join(cells)
-        path.write_text("\n".join(lines) + "\n")
+        path = corrupted_ball(tmp_path, field, value)
         with pytest.raises(ValueError, match=f"ball.tsv:9: {message}"):
-            load_ball(str(path))
+            load_ball(path)
 
     @pytest.mark.parametrize(
         "header, message",
@@ -356,8 +407,54 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"ball.tsv:{len(lines)}: duplicate"):
             load_ball(str(path))
 
+    @pytest.mark.parametrize(
+        "edit, line, message", FILES_ONLY_REPLAY_REJECTS, ids=FILE_EDIT_IDS
+    )
+    def test_rejects_member_that_does_not_follow(self, tmp_path, edit, line, message):
+        path = edited_ball(tmp_path, edit)
+        with pytest.raises(ValueError, match=f"ball.tsv:{line}: {message}"):
+            load_ball(path)
+
+    @pytest.mark.parametrize(
+        "text", ["<x0,x1|x0x1,x0x1^2>", "<a,b|ab,abb>", "<a, b | a b, ab^2>"]
+    )
+    def test_loads_other_spellings(self, tmp_path, text):
+        # line 9 holds <a,b|ab,ab^2>, spelled another way
+        path = corrupted_ball(tmp_path, 0, text)
+        assert load_ball(path).members == build_ball(2, 6, 2).members
+
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("# something-else rank=2\n")
         with pytest.raises(ValueError):
             load_ball(str(path))
+
+
+class TestLoadAgainstReference:
+    """``load_ball`` replays each member; ``reference_ball.load_ball`` parses
+    each text.  On a file that ``save_ball`` wrote they give the same ball."""
+
+    @pytest.mark.parametrize("limits", [(2, 14, 6), (3, 8, 3)])
+    def test_same_members(self, tmp_path, limits):
+        path = str(tmp_path / "ball.tsv")
+        save_ball(build_ball(*limits), path)
+        replayed = load_ball(path)
+        parsed = reference_ball.load_ball(path)
+        assert list(replayed.members.items()) == list(parsed.members.items())
+
+    @pytest.mark.parametrize(
+        "field, value, message", BAD_PARENT_LINKS + MALFORMED_LINES
+    )
+    def test_both_reject(self, tmp_path, field, value, message):
+        path = corrupted_ball(tmp_path, field, value)
+        with pytest.raises(ValueError, match=message):
+            reference_ball.load_ball(path)
+        with pytest.raises(ValueError, match=message):
+            load_ball(path)
+
+    def test_reference_accepts_what_replay_rejects(self, tmp_path):
+        # TestPersistence rejects these by replay alone
+        for field, value, _ in LINES_ONLY_REPLAY_REJECTS:
+            reference_ball.load_ball(corrupted_ball(tmp_path, field, value))
+        for edit, _, _ in FILES_ONLY_REPLAY_REJECTS:
+            reference_ball.load_ball(edited_ball(tmp_path, edit))

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from actriv.cli import main
+from actriv.cli import _solver_config, main
 from actriv.notation import format_sequence
 from actriv.catalog import known_trivializations
 
@@ -152,6 +153,32 @@ class TestPipeline:
             main(["solve", "--instance", "T1", "--ball", "x", "--model", "y",
                   "--config", str(config), "--out", "z"])
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("population_size = abc", "population_size 'abc' is not an integer"),
+            ("time_budget_s = soon", "time_budget_s 'soon' is not a number"),
+            ("stop_on_first_solve = on", "stop_on_first_solve 'on' is not one of"),
+        ],
+    )
+    def test_bad_config_value_names_the_line(self, tmp_path, line, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"# settings\nrestarts = 2\n{line}\n")
+        with pytest.raises(SystemExit, match=f"bad.cfg:3: {message}"):
+            main(["solve", "--instance", "T1", "--ball", "x", "--model", "y",
+                  "--config", str(config), "--out", "z"])
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("no", False),
+         ("False", False)],
+    )
+    def test_stop_on_first_solve_values(self, tmp_path, value, expected):
+        config = tmp_path / "solver.cfg"
+        config.write_text(f"stop_on_first_solve = {value}\n")
+        cfg = _solver_config(argparse.Namespace(config=str(config)))
+        assert cfg.stop_on_first_solve is expected
+
 
     def test_relative_paths_and_self_contained_model(
         self, tmp_path, monkeypatch, capsys
@@ -217,6 +244,16 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert "NOT verified" in text
+
+    def test_bad_move_code_names_the_sequence_file(self, tmp_path, capsys):
+        ball = str(tmp_path / "ball.tsv")
+        run(["ball", "--rank", "2", "--max-total-length", "2", "--max-depth", "1",
+             "--out", ball], capsys)
+        seq_file = tmp_path / "bad.moves"
+        seq_file.write_text("inv:0\nmul:0:7\n")
+        with pytest.raises(SystemExit, match="bad.moves: bad move code 'mul:0:7'"):
+            main(["verify", "--instance", "T1", "--sequence", str(seq_file),
+                  "--ball", ball])
 
     def test_literal_instance_text(self, tmp_path, capsys):
         ball = str(tmp_path / "ball.tsv")

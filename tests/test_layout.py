@@ -1,11 +1,14 @@
 """Structural checks over the source of ``actriv``: ``formats`` is a leaf
-module under the rest, it holds the only code that writes files, and every
-name the benchmark's tracer wraps exists."""
+module under the rest, it holds the only code that writes files, the ball
+is built and loaded by one child rule, and every name the benchmark's
+tracer wraps exists."""
 
 import ast
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 import actriv
 
@@ -72,6 +75,24 @@ def writes(tree):
     return sorted(lines)
 
 
+def names_in(tree, function):
+    """Names that the top-level ``function`` calls, and every name it
+    refers to, as a plain name or an attribute."""
+    (node,) = [
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function
+    ]
+    calls, refs = set(), set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            calls.add(getattr(func, "id", getattr(func, "attr", None)))
+    return calls, refs
+
+
 def modules():
     return sorted(path.stem for path in PACKAGE.glob("*.py"))
 
@@ -95,6 +116,20 @@ def test_checks_see_violations():
     )
     assert actriv_imports(tree) == {"ball", "solver"}
     assert writes(tree) == [4, 5, 6, 8]
+    tree = ast.parse("def f(k):\n    g(k)\n    return m.h(map(w.canonical_rep, k))\n")
+    assert names_in(tree, "f") == (
+        {"g", "h", "map"},
+        {"g", "k", "h", "m", "map", "canonical_rep", "w"},
+    )
+
+
+@pytest.mark.parametrize("function", ["build_ball", "load_ball"])
+def test_one_child_rule(function):
+    """``build_ball`` and ``load_ball`` derive a child only through
+    ``ball._child``, so a loaded ball is the ball that was built."""
+    calls, refs = names_in(parse("ball"), function)
+    assert "_child" in calls
+    assert not refs & {"apply_to_relators", "canonical_rep"}
 
 
 def test_tracer_targets_exist(monkeypatch):

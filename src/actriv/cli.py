@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 
 from . import ball as ball_mod
@@ -27,7 +28,7 @@ from . import metrics as metrics_mod
 from . import notation
 from . import proof as proof_mod
 from . import solver as solver_mod
-from .presentations import Presentation
+from .presentations import MoveSequence, Presentation
 
 
 def _read_config(path: str) -> dict[str, tuple[str, str]]:
@@ -55,8 +56,9 @@ _EXPECTED = {int: "an integer", float: "a number", bool: "one of " + "/".join(_F
 
 def _solver_config(args) -> solver_mod.SolverConfig:
     cfg = solver_mod.SolverConfig()
+    origin = {}  # setting -> the file line or flag that set it
     if args.config:
-        for key, (where, raw) in _read_config(args.config).items():
+        for key, (where, raw) in _load(_read_config, args.config).items():
             if key not in _CONFIG_FIELDS:
                 raise SystemExit(f"{where}: unknown config key {key!r}")
             kind = _CONFIG_FIELDS[key]
@@ -66,12 +68,47 @@ def _solver_config(args) -> solver_mod.SolverConfig:
                 raise SystemExit(
                     f"{where}: {key} {raw!r} is not {_EXPECTED[kind]}"
                 ) from None
+            origin[key] = where
     for key in _CONFIG_FIELDS:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    cfg.validate()
+            origin[key] = "--" + key.replace("_", "-")
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        # the defaults are valid, so some setting in ``origin`` broke them
+        named = [
+            where for key, where in origin.items() if re.search(rf"\b{key}\b", str(exc))
+        ]
+        raise SystemExit(f"{', '.join(named or origin.values())}: {exc}") from None
     return cfg
+
+
+def _load(load, path: str, *args):
+    """``load(path, *args)``; an input file that cannot be read or parsed
+    ends the command with one line that names it."""
+    try:
+        return load(path, *args)
+    except OSError as exc:
+        raise SystemExit(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        message = str(exc)
+        # the file loaders already name the path, with the line
+        raise SystemExit(
+            message if message.startswith(path) else f"{path}: {message}"
+        ) from None
+
+
+def _read_instance(path: str) -> Presentation:
+    with open(path, encoding="utf-8") as fh:
+        return notation.parse_presentation(fh.read().strip())
+
+
+def _read_sequence(path: str, rank: int) -> MoveSequence:
+    with open(path, encoding="utf-8") as fh:
+        text = " ".join(line.split("#", 1)[0] for line in fh)
+    return formats.parse_sequence(text, rank, path)
 
 
 def _load_instance(args) -> tuple[str, Presentation]:
@@ -82,10 +119,8 @@ def _load_instance(args) -> tuple[str, Presentation]:
         record = catalog_mod.get_instance(text)
         return record.id, record.presentation
     if getattr(args, "instance_file", None):
-        with open(args.instance_file, encoding="utf-8") as fh:
-            text = fh.read().strip()
         name = os.path.splitext(os.path.basename(args.instance_file))[0]
-        return name, notation.parse_presentation(text)
+        return name, _load(_read_instance, args.instance_file)
     raise SystemExit("need --instance or --instance-file")
 
 
@@ -118,7 +153,7 @@ def _cmd_ball(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    built = ball_mod.load_ball(args.ball)
+    built = _load(ball_mod.load_ball, args.ball)
     training = ball_mod.sample_cases(built, args.count, args.seed)
     ball_mod.save_training(training, args.out)
     print(f"training set: {len(training.cases)} cases -> {args.out}")
@@ -126,7 +161,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    training = ball_mod.load_training(args.train)
+    training = _load(ball_mod.load_training, args.train)
     config = metrics_mod.MetricGaConfig(
         population_size=args.population,
         generations=args.generations,
@@ -147,8 +182,8 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    metric_set = metrics_mod.load_metric_set(args.metrics)
-    training = ball_mod.load_training(args.train)
+    metric_set = _load(metrics_mod.load_metric_set, args.metrics)
+    training = _load(ball_mod.load_training, args.train)
     if args.mode == "single":
         weights = ensemble_mod.fit_weights(metric_set, training, args.cap)
         model = ensemble_mod.ScalarEnsemble(weights, metric_set)
@@ -168,24 +203,24 @@ def _cmd_fit(args) -> int:
 
 def _load_model(path: str, cfg: solver_mod.SolverConfig, explicit_mode: str | None):
     """Load a model file; its kind decides the mode unless one was forced."""
-    kind = formats.kind_of(path)
+    kind = _load(formats.kind_of, path)
     if kind == "ensemble":
         if explicit_mode == "multi":
             raise SystemExit("ensemble model files drive mode=single")
         cfg.mode = "single"
-        return ensemble_mod.load_ensemble(path)
+        return _load(ensemble_mod.load_ensemble, path)
     if kind == "objectives":
         if explicit_mode == "single":
             raise SystemExit("objective model files drive mode=multi")
         cfg.mode = "multi"
-        return ensemble_mod.load_objectives(path)
+        return _load(ensemble_mod.load_objectives, path)
     raise SystemExit(f"{path}: not an ensemble or objectives file")
 
 
 def _cmd_solve(args) -> int:
     cfg = _solver_config(args)
     instance_id, instance = _load_instance(args)
-    built = ball_mod.load_ball(args.ball)
+    built = _load(ball_mod.load_ball, args.ball)
     model = _load_model(args.model, cfg, args.mode)
     results = solver_mod.run_campaign(
         instance,
@@ -215,15 +250,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance_id, instance = _load_instance(args)
-    built = ball_mod.load_ball(args.ball)
-    with open(args.sequence, encoding="utf-8") as fh:
-        text = " ".join(
-            line.split("#", 1)[0] for line in fh
-        )
-    try:
-        sequence = formats.parse_sequence(text, instance.rank, args.sequence)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    built = _load(ball_mod.load_ball, args.ball)
+    sequence = _load(_read_sequence, args.sequence, instance.rank)
     result = proof_mod.verify(instance, sequence, built, instance_id)
     listing = result.to_text()
     if args.out:

@@ -14,6 +14,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import formats, notation
 from .ball import TrainingSet
@@ -102,6 +103,33 @@ def restart_seeds(master_seed: int, count: int) -> list[int]:
     """Seeds of ``count`` independent runs, split off ``master_seed``."""
     seed_rng = random.Random(master_seed)
     return [seed_rng.getrandbits(64) for _ in range(count)]
+
+
+def map_seeds(run, seeds: list[int], workers: int) -> list:
+    """``[run(seed) for seed in seeds]`` on a pool of ``min(workers,
+    len(seeds))`` processes, in seed order.
+
+    ``run`` binds the state every run shares, such as a ``partial`` over
+    the ball and model.  Each worker receives it once, through the pool
+    initializer: a forked worker inherits it without pickling, a spawned
+    one unpickles it once.  A task carries only its seed.
+    """
+    with ProcessPoolExecutor(
+        min(workers, len(seeds)), initializer=_install_run, initargs=(run,)
+    ) as pool:
+        return list(pool.map(_run_installed, seeds))
+
+
+_installed_run = None  # set by the pool initializer, in worker processes only
+
+
+def _install_run(run) -> None:
+    global _installed_run
+    _installed_run = run
+
+
+def _run_installed(seed: int):
+    return _installed_run(seed)
 
 
 def metric_value(d: MoveSequence, p: Presentation, cap: int) -> int:
@@ -252,11 +280,6 @@ def evolve_metric(
             return best
 
 
-def _run_one(args) -> MetricCandidate:
-    training, config, seed = args
-    return evolve_metric(training, config, seed)
-
-
 def learn_metric_set(
     training: TrainingSet,
     runs: int = 50,
@@ -272,12 +295,9 @@ def learn_metric_set(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     config = config or MetricGaConfig()
-    tasks = [(training, config, seed) for seed in restart_seeds(master_seed, runs)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, tasks))
-    else:
-        results = [_run_one(task) for task in tasks]
+    seeds = restart_seeds(master_seed, runs)
+    run = partial(evolve_metric, training, config)
+    results = map_seeds(run, seeds, workers) if workers > 1 else list(map(run, seeds))
     return MetricSet(
         rank=training.rank,
         metrics=[cand.sequence for cand in results],

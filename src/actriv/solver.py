@@ -19,6 +19,10 @@ about 1 MB per n x n matrix at population 1000.  Replacement is plain
 generational; the best-so-far candidate is tracked outside the population
 for reporting only.  The GA loop itself is ``metrics.evolve``, the engine
 metric learning runs too; ``run_search`` owns the stopping rule.
+
+A campaign on several workers sends the instance, model and ball to each
+worker process once, through the pool initializer (``metrics.map_seeds``);
+each task then carries only its seed.
 """
 
 from __future__ import annotations
@@ -29,15 +33,15 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import formats, notation
 from .ball import Ball
 from .ensemble import ObjectiveSet, ScalarEnsemble, objective_values
-from .metrics import GaConfig, evolve, restart_seeds
+from .metrics import GaConfig, evolve, map_seeds, restart_seeds
 from .presentations import (
     MoveSequence,
     Presentation,
@@ -289,11 +293,6 @@ def run_search(
             return finish("timed_out")
 
 
-def _campaign_task(args) -> RunResult:
-    instance, model, ball, cfg, seed, instance_id = args
-    return run_search(instance, model, ball, cfg, seed, instance_id)
-
-
 def run_campaign(
     instance: Presentation,
     model,
@@ -305,27 +304,25 @@ def run_campaign(
 ) -> list[RunResult]:
     """cfg.restarts independent runs with seeds split off master_seed.
 
-    Results are identical for any worker count.  With
-    cfg.stop_on_first_solve the runs execute sequentially and the campaign
-    ends at the first solved run.
+    Results are identical for any worker count.  With more than one
+    worker, each worker process receives the instance, model and ball
+    once and then runs one seed per task.  With cfg.stop_on_first_solve
+    the runs execute sequentially and the campaign ends at the first
+    solved run.
     """
     cfg.validate()
-    tasks = [
-        (instance, model, ball, cfg, seed, instance_id)
-        for seed in restart_seeds(master_seed, cfg.restarts)
-    ]
-    if cfg.stop_on_first_solve:
-        results = []
-        for task in tasks:
-            result = _campaign_task(task)
-            results.append(result)
-            if result.outcome == "solved":
-                break
-        return results
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_campaign_task, tasks))
-    return [_campaign_task(task) for task in tasks]
+    seeds = restart_seeds(master_seed, cfg.restarts)
+    if workers > 1 and not cfg.stop_on_first_solve:
+        search = partial(
+            run_search, instance, model, ball, cfg, instance_id=instance_id
+        )
+        return map_seeds(search, seeds, workers)
+    results = []
+    for seed in seeds:
+        results.append(run_search(instance, model, ball, cfg, seed, instance_id))
+        if cfg.stop_on_first_solve and results[-1].outcome == "solved":
+            break
+    return results
 
 
 def result_record(result: RunResult, rank: int) -> dict:

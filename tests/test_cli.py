@@ -1,8 +1,14 @@
 import argparse
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import actriv
 from actriv.cli import _solver_config, main
 from actriv.notation import format_sequence
 from actriv.catalog import known_trivializations
@@ -12,6 +18,19 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def run_fresh(argv):
+    """``actriv argv`` in a fresh interpreter; its exit code and stderr."""
+    src = str(Path(actriv.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "actriv.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    return done.returncode, done.stderr
 
 
 class TestCatalogCommand:
@@ -169,6 +188,21 @@ class TestPipeline:
                   "--config", str(config), "--out", "z"])
 
     @pytest.mark.parametrize(
+        "extra, where",
+        [(["--config", "bad.cfg"], "bad.cfg:2"), (["--restarts", "0"], "--restarts")],
+        ids=["file", "flag"],
+    )
+    def test_invalid_setting_names_its_source(
+        self, tmp_path, monkeypatch, extra, where
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_text("population_size = 40\nrestarts = 0\n")
+        message = re.escape(f"{where}: restarts must be >= 1")
+        with pytest.raises(SystemExit, match=f"^{message}$"):
+            main(["solve", "--instance", "T1", "--ball", "x", "--model", "y",
+                  "--out", "z", *extra])
+
+    @pytest.mark.parametrize(
         "value, expected",
         [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("no", False),
          ("False", False)],
@@ -207,6 +241,32 @@ class TestPipeline:
         assert (tmp_path / "data" / "a.jsonl").read_bytes() == (
             tmp_path / "data" / "b.jsonl"
         ).read_bytes()
+
+
+class TestInputErrors:
+    """A bad input file ends the command with one located line on stderr."""
+
+    def test_ball_member_that_does_not_follow(self, tmp_path, capsys):
+        ball = tmp_path / "bad.tsv"
+        run(["ball", "--max-total-length", "4", "--max-depth", "2",
+             "--out", str(ball)], capsys)
+        lines = ball.read_text().splitlines()
+        assert lines[2] == "<a,b|b,ab>\t1\t0\tmul:0:1"
+        lines[2] = "<a,b|b,ab>\t1\t0\tmul:1:0"
+        ball.write_text("\n".join(lines) + "\n")
+        code, err = run_fresh(["sample", "--ball", str(ball), "--count", "3",
+                               "--out", str(tmp_path / "train.tsv")])
+        assert code != 0
+        assert err == (
+            f"{ball}:3: presentation does not follow from its parent and move\n"
+        )
+
+    def test_missing_ball_file(self, tmp_path):
+        missing = tmp_path / "missing.tsv"
+        code, err = run_fresh(["sample", "--ball", str(missing), "--count", "3",
+                               "--out", str(tmp_path / "train.tsv")])
+        assert code != 0
+        assert err == f"{missing}: No such file or directory\n"
 
 
 class TestVerifyCommand:

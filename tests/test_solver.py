@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import pickle
 import random
 
 import pytest
@@ -642,6 +644,13 @@ class TestRank3:
         assert verify(instance, out.sequence, ball).verified
 
 
+class UnpicklableModel(ScalarEnsemble):
+    """A scalar model that fails the moment anything pickles it."""
+
+    def __reduce__(self):
+        raise pickle.PicklingError("the model was pickled")
+
+
 class TestCampaign:
     def test_restart_count(self, small_ball, scalar_model):
         cfg = tiny_config(restarts=3, max_generations=2)
@@ -677,6 +686,46 @@ class TestCampaign:
         results = run_campaign(member, scalar_model, small_ball, cfg, 6)
         assert len(results) == 1
         assert results[0].outcome == "solved"
+
+    def test_stop_on_first_solve_with_workers(self, small_ball, scalar_model):
+        member = Presentation(2, next(iter(small_ball.members)))
+        cfg = tiny_config(restarts=5, stop_on_first_solve=True)
+        results = run_campaign(member, scalar_model, small_ball, cfg, 6, workers=2)
+        assert [r.outcome for r in results] == ["solved"]
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_jsonl_identical_for_any_worker_count(
+        self, tmp_path, mode, small_ball, scalar_model, objective_model
+    ):
+        model = scalar_model if mode == "single" else objective_model
+        cfg = tiny_config(restarts=2, max_generations=3, mode=mode)
+        t1 = get_instance("T1").presentation
+        files = {}
+        # seed 14 gives one exhausted and one solved run in both modes; three
+        # workers for two restarts must still work
+        for workers in (1, 2, 3):
+            results = run_campaign(t1, model, small_ball, cfg, 14, "T1", workers)
+            path = tmp_path / f"{workers}.jsonl"
+            write_results_jsonl(results, 2, str(path))
+            files[workers] = path.read_bytes()
+        assert files[2] == files[1]
+        assert files[3] == files[1]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only forked workers inherit the model without pickling it",
+    )
+    def test_workers_receive_the_model_without_pickling(
+        self, small_ball, scalar_model
+    ):
+        model = UnpicklableModel(scalar_model.weights, scalar_model.metrics)
+        cfg = tiny_config(restarts=3, max_generations=2)
+        ak3 = get_instance("AK3").presentation
+        shared = run_campaign(ak3, model, small_ball, cfg, 4, "AK3", workers=2)
+        serial = run_campaign(ak3, scalar_model, small_ball, cfg, 4, "AK3")
+        assert [result_record(r, 2) for r in shared] == [
+            result_record(r, 2) for r in serial
+        ]
 
     def test_jsonl_and_csv_content(self, tmp_path, small_ball, scalar_model):
         cfg = tiny_config(restarts=2, max_generations=2)

@@ -9,7 +9,9 @@
     actriv catalog  list the embedded problem instances
 
 Solver settings may come from a key=value config file (--config); explicit
-flags override the file, which overrides built-in defaults.
+flags override the file, which overrides built-in defaults; the model
+file sets the search mode.  Only ``main`` exits: bad input of any command
+ends it with the error's message as one line on stderr.
 """
 
 from __future__ import annotations
@@ -34,21 +36,24 @@ from .presentations import MoveSequence, Presentation
 def _read_config(path: str) -> dict[str, tuple[str, str]]:
     """The config file's ``key -> (path:line, value)``."""
     values: dict[str, tuple[str, str]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with formats.open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise SystemExit(f"{path}:{line_no}: expected key=value")
+                raise ValueError(f"{path}:{line_no}: expected key=value")
             key, value = line.split("=", 1)
             values[key.strip()] = (f"{path}:{line_no}", value.strip())
     return values
 
 
-# each solver setting parses as the type of its default
+# each solver setting parses as the type of its default; the model file
+# sets the mode
 _CONFIG_FIELDS = {
-    f.name: type(f.default) for f in dataclasses.fields(solver_mod.SolverConfig)
+    f.name: type(f.default)
+    for f in dataclasses.fields(solver_mod.SolverConfig)
+    if f.name != "mode"
 }
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _EXPECTED = {int: "an integer", float: "a number", bool: "one of " + "/".join(_FLAGS)}
@@ -58,14 +63,14 @@ def _solver_config(args) -> solver_mod.SolverConfig:
     cfg = solver_mod.SolverConfig()
     origin = {}  # setting -> the file line or flag that set it
     if args.config:
-        for key, (where, raw) in _load(_read_config, args.config).items():
+        for key, (where, raw) in _read_config(args.config).items():
             if key not in _CONFIG_FIELDS:
-                raise SystemExit(f"{where}: unknown config key {key!r}")
+                raise ValueError(f"{where}: unknown config key {key!r}")
             kind = _CONFIG_FIELDS[key]
             try:
                 setattr(cfg, key, _FLAGS[raw.lower()] if kind is bool else kind(raw))
             except (KeyError, ValueError):
-                raise SystemExit(
+                raise ValueError(
                     f"{where}: {key} {raw!r} is not {_EXPECTED[kind]}"
                 ) from None
             origin[key] = where
@@ -81,47 +86,33 @@ def _solver_config(args) -> solver_mod.SolverConfig:
         named = [
             where for key, where in origin.items() if re.search(rf"\b{key}\b", str(exc))
         ]
-        raise SystemExit(f"{', '.join(named or origin.values())}: {exc}") from None
+        raise ValueError(f"{', '.join(named or origin.values())}: {exc}") from None
     return cfg
 
 
-def _load(load, path: str, *args):
-    """``load(path, *args)``; an input file that cannot be read or parsed
-    ends the command with one line that names it."""
-    try:
-        return load(path, *args)
-    except OSError as exc:
-        raise SystemExit(f"{path}: {exc.strerror or exc}") from None
-    except ValueError as exc:
-        message = str(exc)
-        # the file loaders already name the path, with the line
-        raise SystemExit(
-            message if message.startswith(path) else f"{path}: {message}"
-        ) from None
-
-
-def _read_instance(path: str) -> Presentation:
-    with open(path, encoding="utf-8") as fh:
-        return notation.parse_presentation(fh.read().strip())
-
-
 def _read_sequence(path: str, rank: int) -> MoveSequence:
-    with open(path, encoding="utf-8") as fh:
+    with formats.open_text(path) as fh:
         text = " ".join(line.split("#", 1)[0] for line in fh)
     return formats.parse_sequence(text, rank, path)
 
 
 def _load_instance(args) -> tuple[str, Presentation]:
-    if getattr(args, "instance", None):
-        text = args.instance
-        if text.lstrip().startswith("<"):
-            return "custom", notation.parse_presentation(text)
+    """The instance's id and presentation; an error names the instance
+    file or ``--instance``."""
+    if args.instance_file:
+        where = args.instance_file
+        name = os.path.splitext(os.path.basename(where))[0]
+        with formats.open_text(where) as fh:
+            text = fh.read().strip()
+    else:
+        where, name, text = "--instance", "custom", args.instance
+    try:
+        if args.instance_file or text.lstrip().startswith("<"):
+            return name, notation.parse_presentation(text)
         record = catalog_mod.get_instance(text)
-        return record.id, record.presentation
-    if getattr(args, "instance_file", None):
-        name = os.path.splitext(os.path.basename(args.instance_file))[0]
-        return name, _load(_read_instance, args.instance_file)
-    raise SystemExit("need --instance or --instance-file")
+    except (KeyError, notation.NotationError) as exc:
+        raise ValueError(f"{where}: {exc.args[0]}") from None
+    return record.id, record.presentation
 
 
 def _cmd_catalog(args) -> int:
@@ -131,7 +122,7 @@ def _cmd_catalog(args) -> int:
     if args.id:
         records = [r for r in records if r.id == args.id]
         if not records:
-            raise SystemExit(f"unknown instance {args.id!r}")
+            raise ValueError(f"unknown instance {args.id!r}")
     for r in records:
         length = "-" if r.known_length is None else str(r.known_length)
         print(f"{r.id}\t{notation.format_presentation(r.presentation)}\t{length}")
@@ -139,12 +130,9 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_ball(args) -> int:
-    try:
-        built = ball_mod.build_ball(
-            args.rank, args.max_total_length, args.max_depth, args.max_members
-        )
-    except ball_mod.BallCapacityError as exc:
-        raise SystemExit(str(exc)) from exc
+    built = ball_mod.build_ball(
+        args.rank, args.max_total_length, args.max_depth, args.max_members
+    )
     ball_mod.save_ball(built, args.out)
     census = " ".join(f"{d}:{n}" for d, n in sorted(built.depth_census().items()))
     print(f"ball: {len(built)} members -> {args.out}")
@@ -153,7 +141,7 @@ def _cmd_ball(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    built = _load(ball_mod.load_ball, args.ball)
+    built = ball_mod.load_ball(args.ball)
     training = ball_mod.sample_cases(built, args.count, args.seed)
     ball_mod.save_training(training, args.out)
     print(f"training set: {len(training.cases)} cases -> {args.out}")
@@ -161,18 +149,14 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    training = _load(ball_mod.load_training, args.train)
+    training = ball_mod.load_training(args.train)
     config = metrics_mod.MetricGaConfig(
         population_size=args.population,
         generations=args.generations,
         correlation=args.correlation,
     )
     metric_set = metrics_mod.learn_metric_set(
-        training,
-        runs=args.runs,
-        config=config,
-        master_seed=args.seed,
-        workers=args.workers,
+        training, args.runs, config, args.seed, args.workers
     )
     metrics_mod.save_metric_set(metric_set, args.out)
     shown = ", ".join(f"{f:.3f}" for f in metric_set.fitnesses)
@@ -182,8 +166,8 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    metric_set = _load(metrics_mod.load_metric_set, args.metrics)
-    training = _load(ball_mod.load_training, args.train)
+    metric_set = metrics_mod.load_metric_set(args.metrics)
+    training = ball_mod.load_training(args.train)
     if args.mode == "single":
         weights = ensemble_mod.fit_weights(metric_set, training, args.cap)
         model = ensemble_mod.ScalarEnsemble(weights, metric_set)
@@ -201,44 +185,34 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _load_model(path: str, cfg: solver_mod.SolverConfig, explicit_mode: str | None):
-    """Load a model file; its kind decides the mode unless one was forced."""
-    kind = _load(formats.kind_of, path)
-    if kind == "ensemble":
-        if explicit_mode == "multi":
-            raise SystemExit("ensemble model files drive mode=single")
-        cfg.mode = "single"
-        return _load(ensemble_mod.load_ensemble, path)
-    if kind == "objectives":
-        if explicit_mode == "single":
-            raise SystemExit("objective model files drive mode=multi")
-        cfg.mode = "multi"
-        return _load(ensemble_mod.load_objectives, path)
-    raise SystemExit(f"{path}: not an ensemble or objectives file")
+_MODELS = {
+    "ensemble": ("single", ensemble_mod.load_ensemble),
+    "objectives": ("multi", ensemble_mod.load_objectives),
+}
+
+
+def _load_model(path: str, cfg: solver_mod.SolverConfig):
+    """Load a model file; its kind sets ``cfg.mode``."""
+    kind = formats.kind_of(path)
+    if kind not in _MODELS:
+        raise ValueError(f"{path}: not an ensemble or objectives file")
+    cfg.mode, load = _MODELS[kind]
+    return load(path)
 
 
 def _cmd_solve(args) -> int:
     cfg = _solver_config(args)
     instance_id, instance = _load_instance(args)
-    built = _load(ball_mod.load_ball, args.ball)
-    model = _load_model(args.model, cfg, args.mode)
+    built = ball_mod.load_ball(args.ball)
+    model = _load_model(args.model, cfg)
     results = solver_mod.run_campaign(
-        instance,
-        model,
-        built,
-        cfg,
-        master_seed=args.seed,
-        instance_id=instance_id,
-        workers=args.workers,
+        instance, model, built, cfg, args.seed, instance_id, args.workers
     )
     solver_mod.write_results_jsonl(results, instance.rank, args.out)
     if args.summary:
         solver_mod.write_summary_csv(results, args.summary)
     solved = [r for r in results if r.outcome == "solved"]
-    print(
-        f"{instance_id}: {len(solved)}/{len(results)} runs solved "
-        f"-> {args.out}"
-    )
+    print(f"{instance_id}: {len(solved)}/{len(results)} runs solved -> {args.out}")
     if solved:
         best = min(solved, key=lambda r: r.prefix_length)
         print(
@@ -250,8 +224,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance_id, instance = _load_instance(args)
-    built = _load(ball_mod.load_ball, args.ball)
-    sequence = _load(_read_sequence, args.sequence, instance.rank)
+    built = ball_mod.load_ball(args.ball)
+    sequence = _read_sequence(args.sequence, instance.rank)
     result = proof_mod.verify(instance, sequence, built, instance_id)
     listing = result.to_text()
     if args.out:
@@ -261,10 +235,14 @@ def _cmd_verify(args) -> int:
         print(listing)
     if not result.verified:
         return 1
-    print(
-        f"{instance_id}: verified, trivialization length {result.prefix_length}"
-    )
+    print(f"{instance_id}: verified, trivialization length {result.prefix_length}")
     return 0
+
+
+def _instance_arguments(parser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--instance", help="catalog id or literal <...> text")
+    group.add_argument("--instance-file")
 
 
 def main(argv=None) -> int:
@@ -315,9 +293,9 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("solve", help="run a search campaign")
-    p.add_argument("--instance", help="catalog id or literal <...> text")
-    p.add_argument("--instance-file")
+    # no abbreviations, so a stray --mode is not read as --model
+    p = sub.add_parser("solve", help="run a search campaign", allow_abbrev=False)
+    _instance_arguments(p)
     p.add_argument("--ball", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--config", help="key=value solver config file")
@@ -327,24 +305,28 @@ def main(argv=None) -> int:
     p.add_argument("--summary")
     for name, caster in _CONFIG_FIELDS.items():
         flag = "--" + name.replace("_", "-")
-        if name == "mode":
-            p.add_argument(flag, choices=("single", "multi"), default=None)
-        elif name == "stop_on_first_solve":
+        if name == "stop_on_first_solve":
             p.add_argument(flag, action="store_const", const=True, default=None)
         else:
             p.add_argument(flag, type=caster, default=None)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="verify a move-sequence certificate")
-    p.add_argument("--instance", help="catalog id or literal <...> text")
-    p.add_argument("--instance-file")
+    _instance_arguments(p)
     p.add_argument("--sequence", required=True, help="file of move codes")
     p.add_argument("--ball", required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, ball_mod.BallCapacityError) as exc:
+        raise SystemExit(str(exc)) from None
+    except OSError as exc:
+        if exc.filename is None:
+            raise SystemExit(str(exc)) from None
+        raise SystemExit(f"{exc.filename}: {exc.strerror}") from None
 
 
 if __name__ == "__main__":

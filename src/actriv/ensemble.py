@@ -38,11 +38,18 @@ class ObjectiveSet:
 
 
 def _design_matrix(metric_set: MetricSet, training: TrainingSet, cap: int):
-    columns = [
+    """Each metric's values on the training cases, one column per metric."""
+    if not metric_set.metrics:
+        raise ValueError("empty metric set")
+    if metric_set.rank != training.rank:
+        raise ValueError(
+            f"rank {metric_set.rank} metrics do not fit a rank {training.rank} "
+            "training set"
+        )
+    return [
         [metric_value(d, case.presentation, cap) for case in training.cases]
         for d in metric_set.metrics
     ]
-    return columns
 
 
 def fit_weights(
@@ -54,8 +61,6 @@ def fit_weights(
     are dropped (their weight is reported as 0); rank-deficient systems
     get the minimum-norm solution.
     """
-    if not metric_set.metrics:
-        raise ValueError("empty metric set")
     if not training.cases:
         raise ValueError("empty training set")
     columns = _design_matrix(metric_set, training, cap)
@@ -91,8 +96,6 @@ def trim_objectives(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not metric_set.metrics:
-        raise ValueError("empty metric set")
     corr = _CORRELATIONS[kind]
     columns = _design_matrix(metric_set, training, cap)
     distances = training.distances()
@@ -144,6 +147,10 @@ class ScalarEnsemble:
     def __post_init__(self) -> None:
         if len(self.weights.weights) != len(self.metrics.metrics):
             raise ValueError("weight count does not match metric set size")
+
+    @property
+    def rank(self) -> int:
+        return self.metrics.rank
 
     def value(self, p: Presentation, cap: int = 200) -> float:
         """Weighted linear combination of metric values; estimates distance

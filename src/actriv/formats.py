@@ -5,7 +5,8 @@ and holds one record per non-blank line after it, as tab-separated fields.
 This module reads and writes that layer: the header, the records, the
 field parsers, and the one writer, which writes to a temporary file and
 renames it over the target so a reader never sees a partial file.  Every
-read error is a ``ValueError`` that names ``path`` or ``path:line``.
+read error is a ``ValueError`` that names ``path`` or ``path:line``; a
+write error is an ``OSError`` that names the target, not the temporary file.
 """
 
 from __future__ import annotations
@@ -40,9 +41,19 @@ class Header:
         return parse_float(self._get(key), f"header {key}", self.path)
 
 
+@contextmanager
+def open_text(path: str):
+    """``path`` as UTF-8 text; bytes that do not decode are a ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def kind_of(path: str) -> str | None:
     """The ``<kind>`` of the file's ``# actriv-<kind>`` header, if it has one."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         parts = fh.readline().lstrip("#").split()
     if parts and parts[0].startswith(_PREFIX):
         return parts[0][len(_PREFIX) :]
@@ -81,7 +92,7 @@ def read_file(path: str, kind: str, count: int):
     """Open the ``kind`` file at ``path``; gives its ``Header`` and an
     iterator of ``(path:line, fields)``, one per record of ``count``
     fields.  Lines are read as the iterator advances, never all at once."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = _parse_header(fh.readline(), kind, path)
         yield header, _records(fh, path, count)
 
@@ -95,6 +106,10 @@ def write_atomic(path: str, chunks: Iterable[str]) -> None:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -107,16 +107,18 @@ def restart_seeds(master_seed: int, count: int) -> list[int]:
 
 def map_seeds(run, seeds: list[int], workers: int) -> list:
     """``[run(seed) for seed in seeds]`` on a pool of ``min(workers,
-    len(seeds))`` processes, in seed order.
+    len(seeds))`` processes, in seed order; in this process when that is
+    at most one.
 
     ``run`` binds the state every run shares, such as a ``partial`` over
     the ball and model.  Each worker receives it once, through the pool
     initializer: a forked worker inherits it without pickling, a spawned
     one unpickles it once.  A task carries only its seed.
     """
-    with ProcessPoolExecutor(
-        min(workers, len(seeds)), initializer=_install_run, initargs=(run,)
-    ) as pool:
+    size = min(workers, len(seeds))
+    if size <= 1:
+        return [run(seed) for seed in seeds]
+    with ProcessPoolExecutor(size, initializer=_install_run, initargs=(run,)) as pool:
         return list(pool.map(_run_installed, seeds))
 
 
@@ -296,8 +298,7 @@ def learn_metric_set(
         raise ValueError("runs must be >= 1")
     config = config or MetricGaConfig()
     seeds = restart_seeds(master_seed, runs)
-    run = partial(evolve_metric, training, config)
-    results = map_seeds(run, seeds, workers) if workers > 1 else list(map(run, seeds))
+    results = map_seeds(partial(evolve_metric, training, config), seeds, workers)
     return MetricSet(
         rank=training.rank,
         metrics=[cand.sequence for cand in results],

@@ -104,11 +104,13 @@ def check_move(m: AcMove, rank: int) -> None:
     raise ValueError(f"unknown move kind {kind}")
 
 
-def enumerate_moves(rank: int) -> list[AcMove]:
-    """All 3n² moves of a rank-n presentation, in a fixed deterministic order."""
+@lru_cache(maxsize=None)
+def enumerate_moves(rank: int) -> tuple[AcMove, ...]:
+    """All 3n² moves of a rank-n presentation, in a fixed deterministic
+    order; one cached tuple per rank."""
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    moves: list[AcMove] = [(INVERT, i, 0) for i in range(rank)]
+    moves = [(INVERT, i, 0) for i in range(rank)]
     moves.extend((MULTIPLY, i, j) for i in range(rank) for j in range(rank) if i != j)
     moves.extend(
         (CONJUGATE, i, s * g)
@@ -116,13 +118,7 @@ def enumerate_moves(rank: int) -> list[AcMove]:
         for g in range(1, rank + 1)
         for s in (1, -1)
     )
-    return moves
-
-
-@lru_cache(maxsize=None)
-def move_table(rank: int) -> tuple[AcMove, ...]:
-    """Cached tuple version of enumerate_moves for hot loops."""
-    return tuple(enumerate_moves(rank))
+    return tuple(moves)
 
 
 def inverse_moves(m: AcMove) -> list[AcMove]:

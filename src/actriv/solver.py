@@ -248,6 +248,10 @@ def run_search(
         raise ValueError("single mode expects a ScalarEnsemble model")
     if cfg.mode == "multi" and not isinstance(model, ObjectiveSet):
         raise ValueError("multi mode expects an ObjectiveSet model")
+    if model.rank != instance.rank:
+        raise ValueError(
+            f"a rank {model.rank} model cannot drive a rank {instance.rank} instance"
+        )
     started = time.monotonic()
     trajectory: list[tuple[int, float]] = []
 
@@ -312,7 +316,7 @@ def run_campaign(
     """
     cfg.validate()
     seeds = restart_seeds(master_seed, cfg.restarts)
-    if workers > 1 and not cfg.stop_on_first_solve:
+    if not cfg.stop_on_first_solve:
         search = partial(
             run_search, instance, model, ball, cfg, instance_id=instance_id
         )
@@ -320,7 +324,7 @@ def run_campaign(
     results = []
     for seed in seeds:
         results.append(run_search(instance, model, ball, cfg, seed, instance_id))
-        if cfg.stop_on_first_solve and results[-1].outcome == "solved":
+        if results[-1].outcome == "solved":
             break
     return results
 
@@ -356,17 +360,8 @@ def write_results_jsonl(results: list[RunResult], rank: int, path: str) -> None:
 def write_summary_csv(results: list[RunResult], path: str) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(
-        [
-            "instance",
-            "seed",
-            "outcome",
-            "prefix_length",
-            "generations",
-            "evaluations",
-            "wall_time_s",
-        ]
-    )
+    header = "instance seed outcome prefix_length generations evaluations wall_time_s"
+    writer.writerow(header.split())
     for r in results:
         writer.writerow(
             [

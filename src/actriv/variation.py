@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 
-from .presentations import MoveSequence, move_table
+from .presentations import MoveSequence, enumerate_moves
 
 
 def random_sequence(rank: int, length: int, rng: random.Random) -> MoveSequence:
-    moves = move_table(rank)
+    moves = enumerate_moves(rank)
     return tuple(rng.choice(moves) for _ in range(length))
 
 
@@ -33,7 +33,7 @@ def mutate(
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"operator probabilities sum to {total}, expected 1")
     roll = rng.random()
-    moves = move_table(rank)
+    moves = enumerate_moves(rank)
     if roll < p_insert:
         pos = rng.randrange(len(s) + 1)
         return s[:pos] + (rng.choice(moves),) + s[pos:]

@@ -269,6 +269,117 @@ class TestInputErrors:
         assert err == f"{missing}: No such file or directory\n"
 
 
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A rank-2 ball and training set, rank-2 and rank-3 metric files, a
+    rank-3 ensemble model, an empty certificate and a file that is not
+    UTF-8."""
+    root = tmp_path_factory.mktemp("inputs")
+    assert main(["ball", "--max-total-length", "6", "--max-depth", "3",
+                 "--out", str(root / "ball.tsv")]) == 0
+    assert main(["sample", "--ball", str(root / "ball.tsv"), "--count", "20",
+                 "--out", str(root / "train.tsv")]) == 0
+    (root / "metrics2.txt").write_text("# actriv-metrics rank=2\nconj:0:b\n")
+    (root / "metrics3.txt").write_text("# actriv-metrics rank=3\nconj:0:c\n")
+    (root / "model3.txt").write_text(
+        "# actriv-ensemble rank=3 intercept=0.0\n1.0\tconj:0:c\n"
+    )
+    (root / "t1.moves").write_text("-\n")
+    (root / "binary.tsv").write_bytes(b"\x89PNG\r\n")
+    return root
+
+
+class TestInputBoundary:
+    """Bad input of any command, not only a bad file, ends it with one line
+    on stderr and a non-zero exit."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--instance", "T999", "--ball", "{d}/ball.tsv",
+              "--sequence", "{d}/t1.moves"],
+             "--instance: unknown instance 'T999'"),
+            (["verify", "--instance", "<a,b|ab,c>", "--ball", "{d}/ball.tsv",
+              "--sequence", "{d}/t1.moves"],
+             "--instance: unknown generator symbol at 'c'"),
+            (["ball", "--max-total-length", "0", "--max-depth", "2",
+              "--out", "{d}/x.tsv"],
+             "limits must be >= 1"),
+            (["sample", "--ball", "{d}/ball.tsv", "--count", "0",
+              "--out", "{d}/x.tsv"],
+             "count must be >= 1"),
+            (["learn", "--train", "{d}/train.tsv", "--runs", "0",
+              "--out", "{d}/x.txt"],
+             "runs must be >= 1"),
+            (["learn", "--train", "{d}/train.tsv", "--population", "3",
+              "--out", "{d}/x.txt"],
+             "population smaller than tournament size"),
+            (["fit", "--metrics", "{d}/metrics2.txt", "--train", "{d}/train.tsv",
+              "--mode", "multi", "--objectives", "0", "--out", "{d}/x.txt"],
+             "k must be >= 1"),
+            (["fit", "--metrics", "{d}/metrics3.txt", "--train", "{d}/train.tsv",
+              "--out", "{d}/x.txt"],
+             "rank 3 metrics do not fit a rank 2 training set"),
+            (["solve", "--instance", "T1", "--ball", "{d}/ball.tsv",
+              "--model", "{d}/model3.txt", "--out", "{d}/x.jsonl"],
+             "a rank 3 model cannot drive a rank 2 instance"),
+            (["ball", "--max-total-length", "4", "--max-depth", "2",
+              "--out", "{d}/missing/b.tsv"],
+             "{d}/missing/b.tsv: No such file or directory"),
+            (["sample", "--ball", "{d}/binary.tsv", "--count", "3",
+              "--out", "{d}/x.tsv"],
+             "{d}/binary.tsv: 'utf-8' codec can't decode byte 0x89 in position 0: "
+             "invalid start byte"),
+        ],
+        ids=["unknown-instance", "bad-instance-text", "ball-limits", "sample-count",
+             "learn-runs", "learn-population", "fit-objectives", "fit-rank",
+             "solve-rank", "out-directory", "not-utf8"],
+    )
+    def test_one_line(self, inputs, argv, message):
+        code, err = run_fresh([arg.format(d=inputs) for arg in argv])
+        assert code != 0
+        assert err == message.format(d=inputs) + "\n"
+
+    def test_mode_flag_and_config_key_are_gone(self, inputs, tmp_path, capsys):
+        solve = ["solve", "--instance", "T1", "--ball", str(inputs / "ball.tsv"),
+                 "--model", str(inputs / "model3.txt"), "--out", "x"]
+        with pytest.raises(SystemExit) as exit_:
+            main(solve + ["--mode", "single"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --mode single" in capsys.readouterr().err
+        config = tmp_path / "mode.cfg"
+        config.write_text("mode = multi\n")
+        with pytest.raises(SystemExit, match="mode.cfg:1: unknown config key 'mode'"):
+            main(solve + ["--config", str(config)])
+
+    def test_instance_and_instance_file_exclude_each_other(self, inputs, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--instance", "T1", "--instance-file", "nonexist.txt",
+                  "--ball", str(inputs / "ball.tsv"),
+                  "--sequence", str(inputs / "t1.moves")])
+        assert exit_.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["verify", "--ball", str(inputs / "ball.tsv"),
+                  "--sequence", str(inputs / "t1.moves")])
+
+    def test_instance_file_parse_error_names_the_file(self, inputs, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("<a,b|ab,c>\n")
+        with pytest.raises(SystemExit, match=f"^{re.escape(str(bad))}: unknown"):
+            main(["verify", "--instance-file", str(bad),
+                  "--ball", str(inputs / "ball.tsv"),
+                  "--sequence", str(inputs / "t1.moves")])
+
+    def test_a_bug_keeps_its_traceback(self, monkeypatch):
+        def broken():
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(actriv.cli.catalog_mod, "catalog", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            main(["catalog"])
+
+
 class TestVerifyCommand:
     def test_verify_published_t1(self, tmp_path, capsys):
         ball = str(tmp_path / "ball.tsv")

@@ -123,6 +123,13 @@ class TestFitWeights:
         with pytest.raises(ValueError):
             fit_weights(MetricSet(2, [()]), TrainingSet(2, []))
 
+    @pytest.mark.parametrize("fit", [fit_weights, trim_objectives])
+    def test_rank_mismatch(self, training, fit):
+        # conj:0:c is a rank-3 move; on a rank-2 case it would read no relator c
+        metric_set = MetricSet(3, [(conjugate_move(0, 3),)])
+        with pytest.raises(ValueError, match="rank 3 metrics do not fit a rank 2"):
+            fit(metric_set, training)
+
 
 def scalar_value(weights, metric_set, p):
     return ScalarEnsemble(weights, metric_set).value(p)

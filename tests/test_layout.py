@@ -1,7 +1,7 @@
 """Structural checks over the source of ``actriv``: ``formats`` is a leaf
 module under the rest, it holds the only code that writes files, the ball
-is built and loaded by one child rule, and every name the benchmark's
-tracer wraps exists."""
+is built and loaded by one child rule, only ``cli.main`` exits, and every
+name the benchmark's tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -93,6 +93,20 @@ def names_in(tree, function):
     return calls, refs
 
 
+def scopes_naming(tree, name):
+    """Top-level functions and classes of the module that refer to
+    ``name``, as a plain name or an attribute; ``<module>`` stands for a
+    reference outside all of them."""
+    found = set()
+    for node in tree.body:
+        refs = {
+            getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(node)
+        }
+        if name in refs:
+            found.add(getattr(node, "name", "<module>"))
+    return found
+
+
 def modules():
     return sorted(path.stem for path in PACKAGE.glob("*.py"))
 
@@ -121,6 +135,12 @@ def test_checks_see_violations():
         {"g", "h", "map"},
         {"g", "k", "h", "m", "map", "canonical_rep", "w"},
     )
+    tree = ast.parse(
+        "raise SystemExit(1)\ndef f():\n    raise builtins.SystemExit\n"
+        "class C:\n    def m(self):\n        raise SystemExit\n"
+        "def g():\n    return 0\n"
+    )
+    assert scopes_naming(tree, "SystemExit") == {"<module>", "f", "C"}
 
 
 @pytest.mark.parametrize("function", ["build_ball", "load_ball"])
@@ -130,6 +150,14 @@ def test_one_child_rule(function):
     calls, refs = names_in(parse("ball"), function)
     assert "_child" in calls
     assert not refs & {"apply_to_relators", "canonical_rep"}
+
+
+def test_one_exit():
+    """The library raises; ``cli.main`` alone turns an error into an exit."""
+    found = {name: scopes_naming(parse(name), "SystemExit") for name in modules()}
+    assert {name: scopes for name, scopes in found.items() if scopes} == {
+        "cli": {"main"}
+    }
 
 
 def test_tracer_targets_exist(monkeypatch):

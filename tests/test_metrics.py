@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import pytest
@@ -325,6 +326,14 @@ class TestLearnMetricSet:
         b = learn_metric_set(small_training, 3, config, master_seed=8, workers=2)
         assert a.metrics == b.metrics
         assert a.fitnesses == b.fitnesses
+
+
+class TestMapSeeds:
+    @pytest.mark.parametrize("seeds, workers", [([1, 2, 3], 1), ([7], 3), ([], 2)])
+    def test_one_process_runs_in_this_one(self, seeds, workers):
+        pid = os.getpid()
+        ran = metrics.map_seeds(lambda seed: (seed, os.getpid()), seeds, workers)
+        assert ran == [(seed, pid) for seed in seeds]
 
 
 class TestPersistence:

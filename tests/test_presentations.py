@@ -59,6 +59,10 @@ class TestEnumerateMoves:
         with pytest.raises(ValueError):
             enumerate_moves(0)
 
+    def test_one_table_per_rank(self):
+        assert type(enumerate_moves(3)) is tuple
+        assert enumerate_moves(3) is enumerate_moves(3)
+
 
 class TestApplyMove:
     def test_published_conjugation(self):

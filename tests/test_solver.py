@@ -11,6 +11,8 @@ import actriv.solver as solver
 from actriv.ball import build_ball, sample_cases
 from actriv.catalog import get_instance, known_trivializations
 from actriv.ensemble import (
+    EnsembleWeights,
+    ObjectiveSet,
     ScalarEnsemble,
     fit_weights,
     trim_objectives,
@@ -593,6 +595,18 @@ class TestRunSearch:
             run_search(
                 get_instance("AK3").presentation, objective_model, small_ball, cfg, seed=0
             )
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_model_rank_mismatch(self, small_ball, mode):
+        metrics = [(multiply_move(2, 0),) * 8]
+        model = {
+            "single": ScalarEnsemble(EnsembleWeights([1.0], 0.0), MetricSet(3, metrics)),
+            # mul:2:0 reads relator 2, which a rank-2 instance does not have
+            "multi": ObjectiveSet(3, metrics),
+        }[mode]
+        t1 = get_instance("T1").presentation
+        with pytest.raises(ValueError, match="rank 3 model cannot drive a rank 2"):
+            run_search(t1, model, small_ball, tiny_config(mode=mode), seed=0)
 
     def test_solved_run_verifies(self, small_ball, scalar_model):
         from actriv.proof import verify

@@ -8,11 +8,11 @@ length exceeds ``max_total_length`` is discarded; one that reaches it
 exactly is recorded but never expanded.  ``load_ball`` rebuilds every
 member from its parent and move with the same BFS step, ``_child``.
 
-Membership of a presentation is membership of its canonical class.
-``lookup`` additionally reconstructs an explicit move path back to the
-trivial class; because parent links connect canonical representatives, the
-replay path interleaves inverse moves with rotation/inversion alignment
-moves and is therefore usually longer than the BFS depth.
+Membership of a presentation is membership of its canonical class, as
+``Ball.key_of`` answers it.  ``lookup`` also rebuilds a move path to the
+trivial class; because parent links connect canonical representatives,
+the replay path interleaves inverse moves with rotation/inversion
+alignment moves and is therefore usually longer than the BFS depth.
 """
 
 from __future__ import annotations
@@ -73,12 +73,21 @@ class Ball:
     def __len__(self) -> int:
         return len(self.members)
 
+    def key_of(self, p: Presentation) -> BallKey | None:
+        key = canonical_relators(p.relators)
+        return key if key in self.members else None
+
+    def check_rank(self, rank: int) -> None:
+        if rank != self.rank:
+            raise ValueError(
+                f"a rank {self.rank} ball cannot check a rank {rank} instance"
+            )
+
     def depth_of(self, p: Presentation) -> int | None:
-        info = self.members.get(canonical_relators(p.relators))
-        return None if info is None else info[0]
+        return None if (key := self.key_of(p)) is None else self.members[key][0]
 
     def __contains__(self, p: Presentation) -> bool:
-        return canonical_relators(p.relators) in self.members
+        return self.key_of(p) is not None
 
     def depth_census(self) -> dict[int, int]:
         census: dict[int, int] = {}
@@ -128,8 +137,12 @@ def build_ball(
     max_members: int | None = None,
 ) -> Ball:
     """Breadth-first enumeration of canonical classes around the trivial one."""
-    if max_total_length < 1 or max_depth < 1:
-        raise ValueError("limits must be >= 1")
+    if max_total_length < 1:
+        raise ValueError("max_total_length must be >= 1")
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    if max_members is not None and max_members < 1:
+        raise ValueError("max_members must be >= 1")
     moves = enumerate_moves(rank)
     root = _root(rank)
     ball = Ball(rank, max_total_length, max_depth)
@@ -172,7 +185,7 @@ def sample_cases(ball: Ball, count: int, rng_seed: int) -> TrainingSet:
         raise ValueError("count must be >= 1")
     if count > len(ball.members):
         raise ValueError(
-            f"cannot draw {count} distinct cases from a ball of {len(ball.members)}"
+            f"count {count} is more than the ball's {len(ball.members)} members"
         )
     strata: dict[int, list[BallKey]] = {}
     for key, (depth, _, _) in ball.members.items():
@@ -264,11 +277,9 @@ def _align(current: list[Word], target: BallKey, path: list[AcMove]) -> list[int
 def lookup(ball: Ball, p: Presentation) -> tuple[int, MoveSequence] | None:
     """Depth and an explicit move path from p to the trivial class, if p's
     canonical class is in the ball."""
-    key = canonical_relators(p.relators)
-    info = ball.members.get(key)
-    if info is None:
+    if (key := ball.key_of(p)) is None:
         return None
-    depth = info[0]
+    depth = ball.members[key][0]
     path: list[AcMove] = []
     current = list(p.relators)
     while True:

@@ -79,15 +79,23 @@ def _solver_config(args) -> solver_mod.SolverConfig:
         if value is not None:
             setattr(cfg, key, value)
             origin[key] = "--" + key.replace("_", "-")
+    _located(cfg.validate, origin)
+    return cfg
+
+
+def _located(call, origin: dict[str, str]):
+    """``call()``; a ``ValueError`` that names a parameter in ``origin``
+    (parameter -> the flag or file line that set it) is prefixed with
+    where each named parameter came from."""
     try:
-        cfg.validate()
+        return call()
     except ValueError as exc:
-        # the defaults are valid, so some setting in ``origin`` broke them
         named = [
             where for key, where in origin.items() if re.search(rf"\b{key}\b", str(exc))
         ]
-        raise ValueError(f"{', '.join(named or origin.values())}: {exc}") from None
-    return cfg
+        if not named:
+            raise
+        raise ValueError(f"{', '.join(named)}: {exc}") from None
 
 
 def _read_sequence(path: str, rank: int) -> MoveSequence:
@@ -130,8 +138,16 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_ball(args) -> int:
-    built = ball_mod.build_ball(
-        args.rank, args.max_total_length, args.max_depth, args.max_members
+    built = _located(
+        lambda: ball_mod.build_ball(
+            args.rank, args.max_total_length, args.max_depth, args.max_members
+        ),
+        {
+            "rank": "--rank",
+            "max_total_length": "--max-total-length",
+            "max_depth": "--max-depth",
+            "max_members": "--max-members",
+        },
     )
     ball_mod.save_ball(built, args.out)
     census = " ".join(f"{d}:{n}" for d, n in sorted(built.depth_census().items()))
@@ -142,7 +158,10 @@ def _cmd_ball(args) -> int:
 
 def _cmd_sample(args) -> int:
     built = ball_mod.load_ball(args.ball)
-    training = ball_mod.sample_cases(built, args.count, args.seed)
+    training = _located(
+        lambda: ball_mod.sample_cases(built, args.count, args.seed),
+        {"count": "--count"},
+    )
     ball_mod.save_training(training, args.out)
     print(f"training set: {len(training.cases)} cases -> {args.out}")
     return 0
@@ -155,8 +174,15 @@ def _cmd_learn(args) -> int:
         generations=args.generations,
         correlation=args.correlation,
     )
-    metric_set = metrics_mod.learn_metric_set(
-        training, args.runs, config, args.seed, args.workers
+    metric_set = _located(
+        lambda: metrics_mod.learn_metric_set(
+            training, args.runs, config, args.seed, args.workers
+        ),
+        {
+            "runs": "--runs",
+            "population_size": "--population",
+            "generations": "--generations",
+        },
     )
     metrics_mod.save_metric_set(metric_set, args.out)
     shown = ", ".join(f"{f:.3f}" for f in metric_set.fitnesses)
@@ -177,8 +203,11 @@ def _cmd_fit(args) -> int:
             f"{sum(1 for w in weights.weights if w)} active weights -> {args.out}"
         )
     else:
-        objectives = ensemble_mod.trim_objectives(
-            metric_set, training, k=args.objectives, cap=args.cap, kind=args.correlation
+        objectives = _located(
+            lambda: ensemble_mod.trim_objectives(
+                metric_set, training, args.objectives, args.cap, args.correlation
+            ),
+            {"k": "--objectives"},
         )
         ensemble_mod.save_objectives(objectives, args.out)
         print(f"objective set: {len(objectives)} objectives -> {args.out}")

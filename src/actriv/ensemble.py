@@ -96,6 +96,8 @@ def trim_objectives(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if kind not in _CORRELATIONS:
+        raise ValueError(f"unknown correlation kind {kind!r}")
     corr = _CORRELATIONS[kind]
     columns = _design_matrix(metric_set, training, cap)
     distances = training.distances()

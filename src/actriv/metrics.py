@@ -59,11 +59,14 @@ class GaConfig:
 
     def validate(self) -> None:
         if abs(self.p_insert + self.p_replace + self.p_delete - 1.0) > 1e-9:
-            raise ValueError("operator probabilities must sum to 1")
+            raise ValueError("p_insert + p_replace + p_delete must sum to 1")
         if not self.min_length <= self.initial_length <= self.max_length:
             raise ValueError("need min_length <= initial_length <= max_length")
         if self.population_size < self.tournament_size:
-            raise ValueError("population smaller than tournament size")
+            raise ValueError(
+                f"population_size {self.population_size} is smaller than "
+                f"tournament_size {self.tournament_size}"
+            )
 
 
 @dataclass
@@ -74,6 +77,8 @@ class MetricGaConfig(GaConfig):
 
     def validate(self) -> None:
         super().validate()
+        if self.generations < 0:
+            raise ValueError("generations must be >= 0")
         if self.correlation not in _CORRELATIONS:
             raise ValueError(f"unknown correlation kind {self.correlation!r}")
 

@@ -7,7 +7,7 @@ trivial class, and re-checks that the whole concatenation really ends in
 the trivial class.  Note the asymmetry with the online solver: search
 success is scored at the *shortest* in-ball prefix, while a verifier
 honors the *longest* one, since published certificates describe the full
-route into known territory.
+route into known territory; a ball of another rank is an input error.
 
 Listings follow the arrow style of the published example proofs, with
 relators shown in sorted (C1) order.
@@ -114,36 +114,24 @@ def verify(
     ball: Ball,
     instance_id: str = "?",
 ) -> Proof:
+    ball.check_rank(instance.rank)
     proof = Proof(instance_id=instance_id, start=instance)
-    if ball.rank != instance.rank:
-        proof.failure = "ball rank does not match the instance"
+    proof.steps, _, proof.failure = _replay(instance, sequence)
+    if proof.failure is not None:
         return proof
-    steps, _, error = _replay(instance, sequence)
-    if error is not None:
-        proof.failure = error
-        proof.steps = steps
-        return proof
-    hits = [
-        k
-        for k, p in enumerate([instance] + [s.presentation for s in steps])
-        if p in ball
-    ]
-    if not hits:
-        proof.steps = steps
+    trace = [instance] + [s.presentation for s in proof.steps]
+    # the longest prefix whose end lies in the ball
+    prefix = next((k for k in reversed(range(len(trace))) if trace[k] in ball), None)
+    if prefix is None:
         proof.failure = (
             f"no prefix of the {len(sequence)}-move sequence reaches the ball"
         )
         return proof
-    prefix = max(hits)
-    proof.steps = steps[:prefix]
+    del proof.steps[prefix:]
     proof.prefix_length = prefix
-    entry = proof.steps[-1].presentation if prefix else instance
-    depth, path = lookup(ball, entry)
-    proof.ball_depth = depth
-    ball_steps, final, error = _replay(entry, path)
-    proof.ball_steps = ball_steps
-    if error is not None:
-        proof.failure = error
+    proof.ball_depth, path = lookup(ball, trace[prefix])
+    proof.ball_steps, final, proof.failure = _replay(trace[prefix], path)
+    if proof.failure is not None:
         return proof
     if canonical_form(final) != canonical_form(trivial_presentation(instance.rank)):
         proof.failure = "ball path replay did not end in the trivial class"

@@ -48,7 +48,9 @@ from .presentations import (
     apply_to_relators,
     canonical_relators,
 )
-from .variation import mutate, random_sequence  # re-exported; evolve calls them
+# not called here: bench/tracing.py wraps ``solver.mutate``, and
+# tests/test_layout.py checks that every name it wraps exists
+from .variation import mutate
 
 WORST_SCALAR = math.inf
 
@@ -117,9 +119,6 @@ def evaluate_candidate(
         return Evaluation("penalized", "too_short")
     if len(s) > cfg.max_length:
         return Evaluation("penalized", "too_long")
-    rank = instance.rank
-    if ball.rank != rank:
-        raise ValueError("ball rank does not match instance rank")
     if known is None:
         known = {}
     ball_cap = ball.max_total_length
@@ -137,7 +136,7 @@ def evaluate_candidate(
             return Evaluation("success", prefix_length=step)
         if total >= length_cap:
             return Evaluation("penalized", "relator_cap")
-    final = Presentation(rank, tuple(rels))
+    final = Presentation(instance.rank, tuple(rels))
     if cfg.mode == "single":
         return Evaluation("ok", scalar=model.value(final, length_cap))
     return Evaluation("ok", objectives=objective_values(model, final, length_cap))
@@ -252,6 +251,7 @@ def run_search(
         raise ValueError(
             f"a rank {model.rank} model cannot drive a rank {instance.rank} instance"
         )
+    ball.check_rank(instance.rank)
     started = time.monotonic()
     trajectory: list[tuple[int, float]] = []
 

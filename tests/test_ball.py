@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from actriv.ball import (
     Ball,
@@ -22,6 +23,7 @@ from actriv.presentations import (
     enumerate_moves,
     trivial_presentation,
 )
+from actriv.words import free_reduce, invert_word, is_cyclically_reduced
 from reference_moves import reference_apply, reference_trace, total
 import reference_ball
 
@@ -211,6 +213,56 @@ class TestLookup:
         ball.members[key] = (depth, TRIVIAL_CLASS, move)
         with pytest.raises(BallPathError):
             lookup(ball, Presentation(2, key))
+
+
+def respell(w, turn, invert):
+    """Another spelling of ``w``'s class: rotated when ``w`` is cyclically
+    reduced, then inverted if ``invert``."""
+    if w and is_cyclically_reduced(w):
+        turn %= len(w)
+        w = w[turn:] + w[:turn]
+    return invert_word(w) if invert else w
+
+
+@st.composite
+def ball_queries(draw, members):
+    """A presentation to ask a rank-2 ball about, and whether it must be a
+    member: a member, a rotated, inverted and permuted spelling of one, any
+    rank-2 presentation, or a rank-3 one."""
+    kind = draw(st.sampled_from(["member", "spelling", "rank 2", "rank 3"]))
+    if kind == "member":
+        return Presentation(2, draw(st.sampled_from(members))), True
+    if kind == "spelling":
+        rels = [
+            respell(w, draw(st.integers(0, 20)), draw(st.booleans()))
+            for w in draw(st.sampled_from(members))
+        ]
+        return Presentation(2, tuple(draw(st.permutations(rels)))), True
+    rank = int(kind[-1])
+    letters = st.sampled_from([s * g for g in range(1, rank + 1) for s in (1, -1)])
+    rels = tuple(
+        free_reduce(draw(st.lists(letters, max_size=8))) for _ in range(rank)
+    )
+    return Presentation(rank, rels), False
+
+
+@pytest.fixture(scope="module")
+def query_ball():
+    return build_ball(2, 8, 4)
+
+
+class TestKeyOf:
+    @given(data=st.data())
+    def test_agrees_with_canonical_lookup(self, query_ball, data):
+        p, must_be_member = data.draw(ball_queries(list(query_ball.members)))
+        key = canonical_relators(p.relators)
+        expected = key if key in query_ball.members else None
+        assert query_ball.key_of(p) == expected
+        assert (p in query_ball) == (expected is not None)
+        depth = None if expected is None else query_ball.members[key][0]
+        assert query_ball.depth_of(p) == depth
+        if must_be_member:
+            assert expected is not None
 
 
 BAD_PARENT_LINKS = [

@@ -21,7 +21,8 @@ def run(argv, capsys):
 
 
 def run_fresh(argv):
-    """``actriv argv`` in a fresh interpreter; its exit code and stderr."""
+    """``actriv argv`` in a fresh interpreter; its exit code, stdout and
+    stderr."""
     src = str(Path(actriv.__file__).resolve().parent.parent)
     done = subprocess.run(
         [sys.executable, "-m", "actriv.cli", *argv],
@@ -30,7 +31,7 @@ def run_fresh(argv):
         env={**os.environ, "PYTHONPATH": src},
         timeout=120,
     )
-    return done.returncode, done.stderr
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestCatalogCommand:
@@ -254,7 +255,7 @@ class TestInputErrors:
         assert lines[2] == "<a,b|b,ab>\t1\t0\tmul:0:1"
         lines[2] = "<a,b|b,ab>\t1\t0\tmul:1:0"
         ball.write_text("\n".join(lines) + "\n")
-        code, err = run_fresh(["sample", "--ball", str(ball), "--count", "3",
+        code, _, err = run_fresh(["sample", "--ball", str(ball), "--count", "3",
                                "--out", str(tmp_path / "train.tsv")])
         assert code != 0
         assert err == (
@@ -263,7 +264,7 @@ class TestInputErrors:
 
     def test_missing_ball_file(self, tmp_path):
         missing = tmp_path / "missing.tsv"
-        code, err = run_fresh(["sample", "--ball", str(missing), "--count", "3",
+        code, _, err = run_fresh(["sample", "--ball", str(missing), "--count", "3",
                                "--out", str(tmp_path / "train.tsv")])
         assert code != 0
         assert err == f"{missing}: No such file or directory\n"
@@ -271,16 +272,21 @@ class TestInputErrors:
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A rank-2 ball and training set, rank-2 and rank-3 metric files, a
-    rank-3 ensemble model, an empty certificate and a file that is not
-    UTF-8."""
+    """Rank-2 and rank-3 balls, a rank-2 training set, rank-2 and rank-3
+    metric files and ensemble models, an empty certificate and a file that
+    is not UTF-8."""
     root = tmp_path_factory.mktemp("inputs")
     assert main(["ball", "--max-total-length", "6", "--max-depth", "3",
                  "--out", str(root / "ball.tsv")]) == 0
     assert main(["sample", "--ball", str(root / "ball.tsv"), "--count", "20",
                  "--out", str(root / "train.tsv")]) == 0
+    assert main(["ball", "--rank", "3", "--max-total-length", "4",
+                 "--max-depth", "1", "--out", str(root / "ball3.tsv")]) == 0
     (root / "metrics2.txt").write_text("# actriv-metrics rank=2\nconj:0:b\n")
     (root / "metrics3.txt").write_text("# actriv-metrics rank=3\nconj:0:c\n")
+    (root / "model2.txt").write_text(
+        "# actriv-ensemble rank=2 intercept=0.0\n1.0\tconj:0:b\n"
+    )
     (root / "model3.txt").write_text(
         "# actriv-ensemble rank=3 intercept=0.0\n1.0\tconj:0:c\n"
     )
@@ -304,25 +310,37 @@ class TestInputBoundary:
              "--instance: unknown generator symbol at 'c'"),
             (["ball", "--max-total-length", "0", "--max-depth", "2",
               "--out", "{d}/x.tsv"],
-             "limits must be >= 1"),
+             "--max-total-length: max_total_length must be >= 1"),
+            (["ball", "--max-total-length", "4", "--max-depth", "2",
+              "--max-members", "0", "--out", "{d}/x.tsv"],
+             "--max-members: max_members must be >= 1"),
             (["sample", "--ball", "{d}/ball.tsv", "--count", "0",
               "--out", "{d}/x.tsv"],
-             "count must be >= 1"),
+             "--count: count must be >= 1"),
             (["learn", "--train", "{d}/train.tsv", "--runs", "0",
               "--out", "{d}/x.txt"],
-             "runs must be >= 1"),
+             "--runs: runs must be >= 1"),
             (["learn", "--train", "{d}/train.tsv", "--population", "3",
               "--out", "{d}/x.txt"],
-             "population smaller than tournament size"),
+             "--population: population_size 3 is smaller than tournament_size 7"),
+            (["learn", "--train", "{d}/train.tsv", "--generations", "-1",
+              "--out", "{d}/x.txt"],
+             "--generations: generations must be >= 0"),
             (["fit", "--metrics", "{d}/metrics2.txt", "--train", "{d}/train.tsv",
               "--mode", "multi", "--objectives", "0", "--out", "{d}/x.txt"],
-             "k must be >= 1"),
+             "--objectives: k must be >= 1"),
             (["fit", "--metrics", "{d}/metrics3.txt", "--train", "{d}/train.tsv",
               "--out", "{d}/x.txt"],
              "rank 3 metrics do not fit a rank 2 training set"),
             (["solve", "--instance", "T1", "--ball", "{d}/ball.tsv",
               "--model", "{d}/model3.txt", "--out", "{d}/x.jsonl"],
              "a rank 3 model cannot drive a rank 2 instance"),
+            (["solve", "--instance", "T1", "--ball", "{d}/ball3.tsv",
+              "--model", "{d}/model2.txt", "--out", "{d}/x.jsonl"],
+             "a rank 3 ball cannot check a rank 2 instance"),
+            (["verify", "--instance", "T1", "--ball", "{d}/ball3.tsv",
+              "--sequence", "{d}/t1.moves"],
+             "a rank 3 ball cannot check a rank 2 instance"),
             (["ball", "--max-total-length", "4", "--max-depth", "2",
               "--out", "{d}/missing/b.tsv"],
              "{d}/missing/b.tsv: No such file or directory"),
@@ -331,13 +349,15 @@ class TestInputBoundary:
              "{d}/binary.tsv: 'utf-8' codec can't decode byte 0x89 in position 0: "
              "invalid start byte"),
         ],
-        ids=["unknown-instance", "bad-instance-text", "ball-limits", "sample-count",
-             "learn-runs", "learn-population", "fit-objectives", "fit-rank",
-             "solve-rank", "out-directory", "not-utf8"],
+        ids=["unknown-instance", "bad-instance-text", "ball-limits", "ball-members",
+             "sample-count", "learn-runs", "learn-population", "learn-generations",
+             "fit-objectives", "fit-rank", "solve-rank", "solve-ball-rank",
+             "verify-ball-rank", "out-directory", "not-utf8"],
     )
     def test_one_line(self, inputs, argv, message):
-        code, err = run_fresh([arg.format(d=inputs) for arg in argv])
+        code, out, err = run_fresh([arg.format(d=inputs) for arg in argv])
         assert code != 0
+        assert out == ""
         assert err == message.format(d=inputs) + "\n"
 
     def test_mode_flag_and_config_key_are_gone(self, inputs, tmp_path, capsys):

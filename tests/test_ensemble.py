@@ -216,6 +216,11 @@ class TestTrimObjectives:
         b = trim_objectives(metric_set, training, k=5)
         assert a.objectives == b.objectives
 
+    def test_unknown_kind(self, training):
+        metric_set = MetricSet(2, [random_sequence(2, 10, random.Random(11))])
+        with pytest.raises(ValueError, match="^unknown correlation kind 'spearman'$"):
+            trim_objectives(metric_set, training, kind="spearman")
+
 
 class TestModelsAndPersistence:
     def test_scalar_ensemble_value(self, length_labelled):

@@ -1,7 +1,8 @@
 """Structural checks over the source of ``actriv``: ``formats`` is a leaf
 module under the rest, it holds the only code that writes files, the ball
-is built and loaded by one child rule, only ``cli.main`` exits, and every
-name the benchmark's tracer wraps exists."""
+is built and loaded by one child rule, ball membership is one ``Ball``
+query, only ``cli.main`` exits, and every name the benchmark's tracer wraps
+exists."""
 
 import ast
 import importlib.util
@@ -150,6 +151,21 @@ def test_one_child_rule(function):
     calls, refs = names_in(parse("ball"), function)
     assert "_child" in calls
     assert not refs & {"apply_to_relators", "canonical_rep"}
+
+
+def test_one_class_query():
+    """Ball membership is asked of ``Ball``; only the solver's per-run memo
+    ``_in_ball`` pairs a canonical key with the members itself."""
+    found = {}
+    for name in modules():
+        tree = parse(name)
+        found[name] = scopes_naming(tree, "canonical_relators") & scopes_naming(
+            tree, "members"
+        )
+    assert {name: scopes for name, scopes in found.items() if scopes} == {
+        "ball": {"Ball"},
+        "solver": {"_in_ball"},
+    }
 
 
 def test_one_exit():

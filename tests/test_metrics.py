@@ -281,9 +281,11 @@ class TestMetricGaConfig:
             {"p_insert": 0.5},
             {"initial_length": 4},
             {"population_size": 6},
+            {"generations": -1},
             {"correlation": "spearman"},
         ],
-        ids=["probabilities", "length_band", "population", "correlation"],
+        ids=["probabilities", "length_band", "population", "generations",
+             "correlation"],
     )
     def test_rejects(self, overrides):
         with pytest.raises(ValueError):

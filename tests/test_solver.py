@@ -35,7 +35,6 @@ from actriv.solver import (
     evaluate_candidate,
     mutate,
     nondominated_sort,
-    random_sequence,
     result_record,
     run_campaign,
     run_search,
@@ -43,6 +42,7 @@ from actriv.solver import (
     write_summary_csv,
     _selection_keys,
 )
+from actriv.variation import random_sequence
 import reference_ga
 from reference_moves import reference_apply, reference_trace, total
 from reference_nsga import reference_nondominated_sort
@@ -607,6 +607,23 @@ class TestRunSearch:
         t1 = get_instance("T1").presentation
         with pytest.raises(ValueError, match="rank 3 model cannot drive a rank 2"):
             run_search(t1, model, small_ball, tiny_config(mode=mode), seed=0)
+
+    def test_ball_rank_mismatch_stops_before_any_candidate(
+        self, scalar_model, monkeypatch
+    ):
+        scored = []
+
+        def counting(*args, **kwargs):
+            scored.append(args[0])
+            return evaluate_candidate(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "evaluate_candidate", counting)
+        t1 = get_instance("T1").presentation
+        with pytest.raises(
+            ValueError, match="^a rank 3 ball cannot check a rank 2 instance$"
+        ):
+            run_search(t1, scalar_model, build_ball(3, 4, 1), tiny_config(), seed=0)
+        assert scored == []
 
     def test_solved_run_verifies(self, small_ball, scalar_model):
         from actriv.proof import verify

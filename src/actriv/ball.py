@@ -7,6 +7,9 @@ graph and independent of traversal order.  A child whose total relator
 length exceeds ``max_total_length`` is discarded; one that reaches it
 exactly is recorded but never expanded.  ``load_ball`` rebuilds every
 member from its parent and move with the same BFS step, ``_child``.
+A build or a load canonicalizes each distinct relator once, and its keys
+share one interned tuple per canonical word; ``save_ball`` and
+``load_ball`` spell each distinct relator once.
 
 Membership of a presentation is membership of its canonical class, as
 ``Ball.key_of`` answers it.  ``lookup`` also rebuilds a move path to the
@@ -40,7 +43,7 @@ from .words import (
     canonical_rep,
     invert_word,
     is_cyclically_reduced,
-    shortlex_key,
+    shortlex_cmp,
 )
 
 BallKey = tuple[Word, ...]
@@ -113,21 +116,41 @@ class BallCapacityError(RuntimeError):
         self.partial = partial
 
 
-def _root(rank: int) -> BallKey:
-    return canonical_relators(trivial_presentation(rank).relators)
+def _root(rank: int) -> tuple[BallKey, dict[Word, Word]]:
+    """The key of the trivial class, and a fresh memo for ``_child``.  The
+    memo maps each relator word met so far to its interned canonical
+    representative; it starts with the root's relators, which are canonical."""
+    root = canonical_relators(trivial_presentation(rank).relators)
+    return root, dict(zip(root, root))
 
 
-def _child(key: BallKey, move: AcMove, room: int) -> tuple[BallKey | None, int]:
+def _child(
+    key: BallKey, move: AcMove, room: int, canon: dict[Word, Word]
+) -> tuple[BallKey | None, int]:
     """The BFS step: the key of the class ``move`` takes ``key`` to, and the
     change in total relator length.  The key is None when that change
-    exceeds ``room``, so a child past the length cap is never canonicalized."""
+    exceeds ``room``, so a child past the length cap is never canonicalized.
+
+    Through the memo ``canon`` (see ``_root``) each distinct relator is
+    canonicalized once, and keys share one tuple per canonical word.  The
+    other relators of ``key`` are already in shortlex order, so the changed
+    one is put in its place among them."""
     rels = list(key)
     delta = apply_to_relators(rels, move)
     if delta > room:
         return None, delta
-    i = move[1]
-    rels[i] = canonical_rep(rels[i])
-    return tuple(sorted(rels, key=shortlex_key)), delta
+    w = rels.pop(move[1])
+    rep = canon.get(w)
+    if rep is None:
+        rep = canonical_rep(w)
+        rep = canon[w] = canon.setdefault(rep, rep)
+    place = 0
+    for other in rels:
+        if shortlex_cmp(other, rep) >= 0:
+            break
+        place += 1
+    rels.insert(place, rep)
+    return tuple(rels), delta
 
 
 def build_ball(
@@ -144,7 +167,7 @@ def build_ball(
     if max_members is not None and max_members < 1:
         raise ValueError("max_members must be >= 1")
     moves = enumerate_moves(rank)
-    root = _root(rank)
+    root, canon = _root(rank)
     ball = Ball(rank, max_total_length, max_depth)
     ball.members[root] = (0, None, None)
     root_total = sum(len(r) for r in root)
@@ -156,7 +179,7 @@ def build_ball(
         child_depth = depth + 1
         room = max_total_length - total
         for m in moves:
-            child, delta = _child(key, m, room)
+            child, delta = _child(key, m, room, canon)
             if child is None or child in ball.members:
                 continue
             ball.members[child] = (child_depth, key, m)
@@ -306,14 +329,16 @@ def lookup(ball: Ball, p: Presentation) -> tuple[int, MoveSequence] | None:
 
 
 def save_ball(ball: Ball, path: str) -> None:
-    """Line-oriented dump in BFS order."""
+    """Line-oriented dump in BFS order; each distinct relator is spelled
+    once."""
+    spelling = notation.Spelling(ball.rank)
 
     def records():
         index: dict[BallKey, int] = {}
         for pos, (key, (depth, parent, move)) in enumerate(ball.members.items()):
             index[key] = pos
             yield (
-                notation.format_presentation(Presentation(ball.rank, key)),
+                spelling.presentation(key),
                 str(depth),
                 "-1" if parent is None else str(index[parent]),
                 "-" if move is None else notation.format_move(move, ball.rank),
@@ -330,10 +355,15 @@ def save_ball(ball: Ball, path: str) -> None:
 def load_ball(path: str) -> Ball:
     """Read a ball written by ``save_ball``.  Each member is replayed from
     its parent and move; its stored text only has to agree with the
-    replayed key.  Every error names ``path:line``."""
+    replayed key.  Each distinct relator is canonicalized and spelled once,
+    and each distinct move code parsed once.  Every error names
+    ``path:line``."""
     with formats.read_file(path, "ball", 4) as (header, records):
         ball = Ball(*map(header.int, ("rank", "max_total_length", "max_depth")))
         rank, cap, members = ball.rank, ball.max_total_length, ball.members
+        root, canon = _root(rank)
+        spelling = notation.Spelling(rank)
+        moves: dict[str, AcMove] = {}
         order: list[BallKey] = []
         for where, (text, depth, parent_idx, code) in records:
             depth = formats.parse_int(depth, "depth", where)
@@ -353,15 +383,17 @@ def load_ball(path: str) -> Ball:
                     raise ValueError(f"{where}: a second root")
                 if code != "-":
                     raise ValueError(f"{where}: root move {code!r} is not '-'")
-                key, move = _root(rank), None
+                key, move = root, None
             else:
                 if depth > ball.max_depth:
                     raise ValueError(
                         f"{where}: depth {depth} exceeds max_depth {ball.max_depth}"
                     )
-                move = formats.parse_move(code, rank, where)
-                total = sum(len(r) for r in parent)
-                key, delta = _child(parent, move, cap - total)
+                move = moves.get(code)
+                if move is None:
+                    move = moves[code] = formats.parse_move(code, rank, where)
+                total = sum(map(len, parent))
+                key, delta = _child(parent, move, cap - total, canon)
                 if key is None:
                     raise ValueError(
                         f"{where}: total length {total + delta} exceeds "
@@ -369,7 +401,7 @@ def load_ball(path: str) -> Ball:
                     )
             if key in members:
                 raise ValueError(f"{where}: duplicate presentation")
-            if text != notation.format_presentation(Presentation(rank, key)):
+            if text != spelling.presentation(key):
                 if formats.parse_presentation(text, rank, where).relators != key:
                     raise ValueError(
                         f"{where}: presentation does not follow from its parent "

@@ -59,9 +59,11 @@ _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
 _EXPECTED = {int: "an integer", float: "a number", bool: "one of " + "/".join(_FLAGS)}
 
 
-def _solver_config(args) -> solver_mod.SolverConfig:
+def _solver_config(args) -> tuple[solver_mod.SolverConfig, dict[str, str]]:
+    """The solver settings, and where each one that is not a default came
+    from (setting -> the file line or flag that set it)."""
     cfg = solver_mod.SolverConfig()
-    origin = {}  # setting -> the file line or flag that set it
+    origin = {}
     if args.config:
         for key, (where, raw) in _read_config(args.config).items():
             if key not in _CONFIG_FIELDS:
@@ -80,7 +82,7 @@ def _solver_config(args) -> solver_mod.SolverConfig:
             setattr(cfg, key, value)
             origin[key] = "--" + key.replace("_", "-")
     _located(cfg.validate, origin)
-    return cfg
+    return cfg, origin
 
 
 def _located(call, origin: dict[str, str]):
@@ -195,7 +197,10 @@ def _cmd_fit(args) -> int:
     metric_set = metrics_mod.load_metric_set(args.metrics)
     training = ball_mod.load_training(args.train)
     if args.mode == "single":
-        weights = ensemble_mod.fit_weights(metric_set, training, args.cap)
+        weights = _located(
+            lambda: ensemble_mod.fit_weights(metric_set, training, args.cap),
+            {"cap": "--cap"},
+        )
         model = ensemble_mod.ScalarEnsemble(weights, metric_set)
         ensemble_mod.save_ensemble(model, args.out)
         print(
@@ -207,7 +212,7 @@ def _cmd_fit(args) -> int:
             lambda: ensemble_mod.trim_objectives(
                 metric_set, training, args.objectives, args.cap, args.correlation
             ),
-            {"k": "--objectives"},
+            {"k": "--objectives", "cap": "--cap"},
         )
         ensemble_mod.save_objectives(objectives, args.out)
         print(f"objective set: {len(objectives)} objectives -> {args.out}")
@@ -230,12 +235,15 @@ def _load_model(path: str, cfg: solver_mod.SolverConfig):
 
 
 def _cmd_solve(args) -> int:
-    cfg = _solver_config(args)
+    cfg, origin = _solver_config(args)
     instance_id, instance = _load_instance(args)
     built = ball_mod.load_ball(args.ball)
     model = _load_model(args.model, cfg)
-    results = solver_mod.run_campaign(
-        instance, model, built, cfg, args.seed, instance_id, args.workers
+    results = _located(
+        lambda: solver_mod.run_campaign(
+            instance, model, built, cfg, args.seed, instance_id, args.workers
+        ),
+        origin,
     )
     solver_mod.write_results_jsonl(results, instance.rank, args.out)
     if args.summary:

@@ -41,6 +41,8 @@ def _design_matrix(metric_set: MetricSet, training: TrainingSet, cap: int):
     """Each metric's values on the training cases, one column per metric."""
     if not metric_set.metrics:
         raise ValueError("empty metric set")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     if metric_set.rank != training.rank:
         raise ValueError(
             f"rank {metric_set.rank} metrics do not fit a rank {training.rank} "
@@ -59,12 +61,17 @@ def fit_weights(
 
     Columns that are constant over the training set carry no signal and
     are dropped (their weight is reported as 0); rank-deficient systems
-    get the minimum-norm solution.
+    get the minimum-norm solution.  If no column varies there is nothing to
+    fit, and a ValueError says so.
     """
     if not training.cases:
         raise ValueError("empty training set")
     columns = _design_matrix(metric_set, training, cap)
     kept = [idx for idx, col in enumerate(columns) if len(set(col)) > 1]
+    if not kept:
+        raise ValueError(
+            f"none of the {len(columns)} metrics varies over the training set"
+        )
     dropped = len(columns) - len(kept)
     if dropped:
         log.warning("dropping %d constant metric column(s) before regression", dropped)

@@ -67,6 +67,8 @@ class GaConfig:
                 f"population_size {self.population_size} is smaller than "
                 f"tournament_size {self.tournament_size}"
             )
+        if self.relator_length_cap < 1:
+            raise ValueError("relator_length_cap must be >= 1")
 
 
 @dataclass

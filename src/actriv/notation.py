@@ -66,15 +66,31 @@ def format_word(w: Word, rank: int) -> str:
     return "".join(out)
 
 
+class Spelling(dict):
+    """A cache from word to its ``format_word`` text at one rank, so that a
+    caller writing many presentations spells each distinct relator once."""
+
+    def __init__(self, rank: int):
+        super().__init__()
+        self.rank = rank
+        self.generators = ",".join(generator_name(i, rank) for i in range(rank))
+
+    def __missing__(self, w: Word) -> str:
+        text = self[w] = format_word(w, self.rank)
+        return text
+
+    def presentation(self, relators) -> str:
+        """The ``<gens|rels>`` text of these relators, in their order."""
+        return f"<{self.generators}|{','.join(map(self.__getitem__, relators))}>"
+
+
 def format_presentation(p: Presentation, sorted_relators: bool = False) -> str:
     """Textual form; with sorted_relators the relators are shown in shortlex
     (C1) order without touching the presentation itself."""
-    gens = ",".join(generator_name(i, p.rank) for i in range(p.rank))
     relators = p.relators
     if sorted_relators:
         relators = tuple(sorted(relators, key=shortlex_key))
-    rels = ",".join(format_word(r, p.rank) for r in relators)
-    return f"<{gens}|{rels}>"
+    return Spelling(p.rank).presentation(relators)
 
 
 def _token_map(names: list[str]) -> dict[str, int]:

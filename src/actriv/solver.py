@@ -252,6 +252,11 @@ def run_search(
             f"a rank {model.rank} model cannot drive a rank {instance.rank} instance"
         )
     ball.check_rank(instance.rank)
+    if (total := sum(map(len, instance.relators))) >= cfg.relator_length_cap:
+        raise ValueError(
+            f"relator_length_cap {cfg.relator_length_cap} is not above the "
+            f"instance's total relator length {total}"
+        )
     started = time.monotonic()
     trajectory: list[tuple[int, float]] = []
 

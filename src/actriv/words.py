@@ -70,13 +70,12 @@ def shortlex_key(w: Word) -> tuple:
 
 
 def shortlex_cmp(u: Word, v: Word) -> int:
-    """-1, 0 or +1 as u sorts before, equal to, or after v in shortlex."""
-    ku, kv = shortlex_key(u), shortlex_key(v)
-    if ku < kv:
-        return -1
-    if ku > kv:
-        return 1
-    return 0
+    """-1, 0 or +1 as u sorts before, equal to, or after v in shortlex.
+    Letters are compared only between words of equal length."""
+    if len(u) != len(v):
+        return -1 if len(u) < len(v) else 1
+    cu, cv = letter_codes(u), letter_codes(v)
+    return (cu > cv) - (cu < cv)
 
 
 def is_cyclically_reduced(w: Word) -> bool:

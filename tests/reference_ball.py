@@ -1,10 +1,35 @@
 """The ball loader before replay: it parses every presentation and checks
 that it is canonical, but never that a member follows from its parent and
-move.  Differential tests compare ``actriv.ball.load_ball`` against it."""
+move.  Differential tests compare ``actriv.ball.load_ball`` against it.
 
-from actriv import formats
+``save_ball`` is the saver that spells every member afresh with
+``notation.format_presentation``; ``actriv.ball.save_ball`` must write the
+same bytes."""
+
+from actriv import formats, notation
 from actriv.ball import Ball, BallKey
-from actriv.presentations import canonical_relators
+from actriv.presentations import Presentation, canonical_relators
+
+
+def save_ball(ball: Ball, path: str) -> None:
+    index: dict[BallKey, int] = {}
+    records = []
+    for pos, (key, (depth, parent, move)) in enumerate(ball.members.items()):
+        index[key] = pos
+        records.append(
+            (
+                notation.format_presentation(Presentation(ball.rank, key)),
+                str(depth),
+                "-1" if parent is None else str(index[parent]),
+                "-" if move is None else notation.format_move(move, ball.rank),
+            )
+        )
+    header = {
+        "rank": ball.rank,
+        "max_total_length": ball.max_total_length,
+        "max_depth": ball.max_depth,
+    }
+    formats.write_file(path, "ball", header, records)
 
 
 def load_ball(path: str) -> Ball:

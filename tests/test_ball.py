@@ -7,6 +7,8 @@ from actriv.ball import (
     Ball,
     BallCapacityError,
     BallPathError,
+    _child,
+    _root,
     build_ball,
     load_ball,
     load_training,
@@ -16,6 +18,7 @@ from actriv.ball import (
     save_training,
 )
 from actriv.catalog import get_instance
+from actriv.notation import Spelling, format_presentation, format_word
 from actriv.presentations import (
     Presentation,
     canonical_form,
@@ -123,6 +126,68 @@ class TestBuildBall:
                 continue
             assert ball.members[parent][0] == depth - 1
             assert canonical_relators(reference_apply(parent, move)) == key
+
+
+@st.composite
+def random_keys(draw, rank, canonical=True):
+    """The relators of a random presentation of ``rank``, as a canonical
+    key unless ``canonical`` is false."""
+    letters = st.sampled_from([s * g for g in range(1, rank + 1) for s in (1, -1)])
+    rels = tuple(
+        free_reduce(draw(st.lists(letters, max_size=10))) for _ in range(rank)
+    )
+    return canonical_relators(rels) if canonical else rels
+
+
+# one memo per rank for every example, as one build or load shares its memo
+SHARED_MEMOS = {rank: _root(rank)[1] for rank in (2, 3)}
+
+
+def assert_words_shared(ball):
+    """Equal relator words in the ball's keys are one object."""
+    words = [w for key in ball.members for w in key]
+    assert len({id(w) for w in words}) == len(set(words))
+
+
+class TestChild:
+    @given(rank=st.sampled_from([2, 3]), data=st.data())
+    def test_matches_reference(self, rank, data):
+        canon = SHARED_MEMOS[rank]
+        key = data.draw(random_keys(rank))
+        moves = st.sampled_from(enumerate_moves(rank))
+        for move in data.draw(st.lists(moves, min_size=1, max_size=6)):
+            room = data.draw(st.integers(-2, 10))
+            child, delta = _child(key, move, room, canon)
+            raw = reference_apply(key, move)
+            assert delta == total(raw) - total(key)
+            if delta > room:
+                assert child is None
+            else:
+                assert child == canonical_relators(raw)
+                key = child
+        # every representative in the memo is interned: it maps to itself
+        for rep in set(canon.values()):
+            assert canon[rep] is rep
+
+    @pytest.mark.parametrize("limits", [(2, 10, 5), (3, 7, 3)])
+    def test_keys_share_equal_words(self, tmp_path, limits):
+        built = build_ball(*limits)
+        assert_words_shared(built)
+        path = str(tmp_path / "ball.tsv")
+        save_ball(built, path)
+        assert_words_shared(load_ball(path))
+
+
+class TestSpelling:
+    SPELLINGS = {rank: Spelling(rank) for rank in (2, 3)}
+
+    @given(rank=st.sampled_from([2, 3]), canonical=st.booleans(), data=st.data())
+    def test_matches_format_presentation(self, rank, canonical, data):
+        key = data.draw(random_keys(rank, canonical))
+        text = self.SPELLINGS[rank].presentation(key)
+        assert text == format_presentation(Presentation(rank, key))
+        gens = ",".join("abc"[:rank])
+        assert text == f"<{gens}|{','.join(format_word(w, rank) for w in key)}>"
 
 
 class TestSampling:
@@ -480,6 +545,21 @@ class TestPersistence:
         path.write_text("# something-else rank=2\n")
         with pytest.raises(ValueError):
             load_ball(str(path))
+
+
+class TestSaveAgainstReference:
+    """``save_ball`` spells each distinct relator once; the reference spells
+    every member afresh.  Both write the same bytes."""
+
+    @pytest.mark.parametrize("limits", [(2, 12, 5), (2, 14, 6), (3, 8, 3)])
+    def test_same_bytes(self, tmp_path, limits):
+        built = build_ball(*limits)
+        reference_ball.save_ball(built, str(tmp_path / "reference.tsv"))
+        expected = (tmp_path / "reference.tsv").read_bytes()
+        save_ball(built, str(tmp_path / "built.tsv"))
+        assert (tmp_path / "built.tsv").read_bytes() == expected
+        save_ball(load_ball(str(tmp_path / "built.tsv")), str(tmp_path / "loaded.tsv"))
+        assert (tmp_path / "loaded.tsv").read_bytes() == expected
 
 
 class TestLoadAgainstReference:

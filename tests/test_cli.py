@@ -211,7 +211,7 @@ class TestPipeline:
     def test_stop_on_first_solve_values(self, tmp_path, value, expected):
         config = tmp_path / "solver.cfg"
         config.write_text(f"stop_on_first_solve = {value}\n")
-        cfg = _solver_config(argparse.Namespace(config=str(config)))
+        cfg, _ = _solver_config(argparse.Namespace(config=str(config)))
         assert cfg.stop_on_first_solve is expected
 
 
@@ -332,12 +332,30 @@ class TestInputBoundary:
             (["fit", "--metrics", "{d}/metrics3.txt", "--train", "{d}/train.tsv",
               "--out", "{d}/x.txt"],
              "rank 3 metrics do not fit a rank 2 training set"),
+            (["fit", "--metrics", "{d}/metrics2.txt", "--train", "{d}/train.tsv",
+              "--cap", "0", "--out", "{d}/x.txt"],
+             "--cap: cap must be >= 1"),
+            (["fit", "--metrics", "{d}/metrics2.txt", "--train", "{d}/train.tsv",
+              "--mode", "multi", "--cap", "0", "--out", "{d}/x.txt"],
+             "--cap: cap must be >= 1"),
+            (["fit", "--metrics", "{d}/metrics2.txt", "--train", "{d}/train.tsv",
+              "--cap", "1", "--out", "{d}/x.txt"],
+             "none of the 1 metrics varies over the training set"),
             (["solve", "--instance", "T1", "--ball", "{d}/ball.tsv",
               "--model", "{d}/model3.txt", "--out", "{d}/x.jsonl"],
              "a rank 3 model cannot drive a rank 2 instance"),
             (["solve", "--instance", "T1", "--ball", "{d}/ball3.tsv",
               "--model", "{d}/model2.txt", "--out", "{d}/x.jsonl"],
              "a rank 3 ball cannot check a rank 2 instance"),
+            (["solve", "--instance", "T1", "--ball", "{d}/ball.tsv",
+              "--model", "{d}/model2.txt", "--relator-length-cap", "0",
+              "--out", "{d}/x.jsonl"],
+             "--relator-length-cap: relator_length_cap must be >= 1"),
+            (["solve", "--instance", "T1", "--ball", "{d}/ball.tsv",
+              "--model", "{d}/model2.txt", "--relator-length-cap", "10",
+              "--out", "{d}/x.jsonl"],
+             "--relator-length-cap: relator_length_cap 10 is not above the "
+             "instance's total relator length 10"),
             (["verify", "--instance", "T1", "--ball", "{d}/ball3.tsv",
               "--sequence", "{d}/t1.moves"],
              "a rank 3 ball cannot check a rank 2 instance"),
@@ -351,7 +369,9 @@ class TestInputBoundary:
         ],
         ids=["unknown-instance", "bad-instance-text", "ball-limits", "ball-members",
              "sample-count", "learn-runs", "learn-population", "learn-generations",
-             "fit-objectives", "fit-rank", "solve-rank", "solve-ball-rank",
+             "fit-objectives", "fit-rank", "fit-cap", "fit-multi-cap",
+             "fit-constant", "solve-rank", "solve-ball-rank",
+             "solve-relator-cap", "solve-instance-over-cap",
              "verify-ball-rank", "out-directory", "not-utf8"],
     )
     def test_one_line(self, inputs, argv, message):

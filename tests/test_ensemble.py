@@ -124,6 +124,20 @@ class TestFitWeights:
             fit_weights(MetricSet(2, [()]), TrainingSet(2, []))
 
     @pytest.mark.parametrize("fit", [fit_weights, trim_objectives])
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one(self, training, fit, cap):
+        with pytest.raises(ValueError, match="^cap must be >= 1$"):
+            fit(MetricSet(2, [()]), training, cap=cap)
+
+    def test_no_varying_metric(self, training):
+        # at cap 1 every metric reads 1 on every case
+        metric_set = MetricSet(2, [(), (multiply_move(0, 1),)])
+        with pytest.raises(
+            ValueError, match="^none of the 2 metrics varies over the training set$"
+        ):
+            fit_weights(metric_set, training, cap=1)
+
+    @pytest.mark.parametrize("fit", [fit_weights, trim_objectives])
     def test_rank_mismatch(self, training, fit):
         # conj:0:c is a rank-3 move; on a rank-2 case it would read no relator c
         metric_set = MetricSet(3, [(conjugate_move(0, 3),)])

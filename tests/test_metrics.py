@@ -283,9 +283,10 @@ class TestMetricGaConfig:
             {"population_size": 6},
             {"generations": -1},
             {"correlation": "spearman"},
+            {"relator_length_cap": 0},
         ],
         ids=["probabilities", "length_band", "population", "generations",
-             "correlation"],
+             "correlation", "relator_length_cap"],
     )
     def test_rejects(self, overrides):
         with pytest.raises(ValueError):

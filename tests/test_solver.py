@@ -625,6 +625,30 @@ class TestRunSearch:
             run_search(t1, scalar_model, build_ball(3, 4, 1), tiny_config(), seed=0)
         assert scored == []
 
+    @pytest.mark.parametrize("cap", [9, 10])
+    def test_instance_at_relator_cap_stops_before_any_candidate(
+        self, small_ball, scalar_model, monkeypatch, cap
+    ):
+        # T1's relators total 10 letters, so no move could stay under the cap
+        scored = []
+
+        def counting(*args, **kwargs):
+            scored.append(args[0])
+            return evaluate_candidate(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "evaluate_candidate", counting)
+        t1 = get_instance("T1").presentation
+        cfg = tiny_config(relator_length_cap=cap)
+        with pytest.raises(
+            ValueError,
+            match=f"^relator_length_cap {cap} is not above the instance's total "
+            "relator length 10$",
+        ):
+            run_search(t1, scalar_model, small_ball, cfg, seed=0)
+        assert scored == []
+        run_search(t1, scalar_model, small_ball, tiny_config(relator_length_cap=11), 0)
+        assert scored
+
     def test_solved_run_verifies(self, small_ball, scalar_model):
         from actriv.proof import verify
 
@@ -798,6 +822,10 @@ class TestConfigValidation:
     def test_mode(self):
         with pytest.raises(ValueError):
             SolverConfig(mode="both").validate()
+
+    def test_relator_length_cap(self):
+        with pytest.raises(ValueError, match="^relator_length_cap must be >= 1$"):
+            SolverConfig(relator_length_cap=0).validate()
 
     def test_defaults_match_published_setup(self):
         cfg = SolverConfig()

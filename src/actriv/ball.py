@@ -329,19 +329,23 @@ def lookup(ball: Ball, p: Presentation) -> tuple[int, MoveSequence] | None:
 
 
 def save_ball(ball: Ball, path: str) -> None:
-    """Line-oriented dump in BFS order; each distinct relator is spelled
-    once."""
+    """Line-oriented dump in BFS order; each distinct relator and each
+    distinct move is spelled once."""
     spelling = notation.Spelling(ball.rank)
+    codes: dict[AcMove | None, str] = {None: "-"}
 
     def records():
         index: dict[BallKey, int] = {}
         for pos, (key, (depth, parent, move)) in enumerate(ball.members.items()):
             index[key] = pos
+            code = codes.get(move)
+            if code is None:
+                code = codes[move] = notation.format_move(move, ball.rank)
             yield (
                 spelling.presentation(key),
                 str(depth),
                 "-1" if parent is None else str(index[parent]),
-                "-" if move is None else notation.format_move(move, ball.rank),
+                code,
             )
 
     header = {

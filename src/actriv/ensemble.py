@@ -16,7 +16,13 @@ import numpy as np
 
 from . import formats, notation
 from .ball import TrainingSet
-from .metrics import SENTINEL_FITNESS, MetricSet, _CORRELATIONS, metric_value
+from .metrics import (
+    SENTINEL_FITNESS,
+    MetricSet,
+    _CORRELATIONS,
+    metric_value,
+    metric_values,
+)
 from .presentations import MoveSequence, Presentation
 
 log = logging.getLogger(__name__)
@@ -48,10 +54,19 @@ def _design_matrix(metric_set: MetricSet, training: TrainingSet, cap: int):
             f"rank {metric_set.rank} metrics do not fit a rank {training.rank} "
             "training set"
         )
-    return [
-        [metric_value(d, case.presentation, cap) for case in training.cases]
-        for d in metric_set.metrics
-    ]
+    cases = [case.presentation for case in training.cases]
+    return metric_values(metric_set.metrics, cases, cap)
+
+
+def _varying(columns) -> list[int]:
+    """Indices of the columns that vary over the training set; a
+    ValueError if none does."""
+    kept = [idx for idx, col in enumerate(columns) if len(set(col)) > 1]
+    if not kept:
+        raise ValueError(
+            f"none of the {len(columns)} metrics varies over the training set"
+        )
+    return kept
 
 
 def fit_weights(
@@ -67,11 +82,7 @@ def fit_weights(
     if not training.cases:
         raise ValueError("empty training set")
     columns = _design_matrix(metric_set, training, cap)
-    kept = [idx for idx, col in enumerate(columns) if len(set(col)) > 1]
-    if not kept:
-        raise ValueError(
-            f"none of the {len(columns)} metrics varies over the training set"
-        )
+    kept = _varying(columns)
     dropped = len(columns) - len(kept)
     if dropped:
         log.warning("dropping %d constant metric column(s) before regression", dropped)
@@ -99,7 +110,8 @@ def trim_objectives(
     distances, then repeatedly adds the metric minimizing its maximum
     absolute correlation with the ones already chosen.  Ties break by
     metric-set order; constant-valued metrics are skipped while any
-    informative ones remain.
+    informative ones remain.  If no metric varies over the training set
+    there is nothing to choose from, and a ValueError says so.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -108,10 +120,7 @@ def trim_objectives(
     corr = _CORRELATIONS[kind]
     columns = _design_matrix(metric_set, training, cap)
     distances = training.distances()
-    informative = [idx for idx, col in enumerate(columns) if len(set(col)) > 1]
-    if not informative:
-        chosen = list(range(min(k, len(columns))))
-        return ObjectiveSet(metric_set.rank, [metric_set.metrics[i] for i in chosen])
+    informative = _varying(columns)
 
     def abs_corr(xs, ys) -> float:
         value = corr(xs, ys)

@@ -6,6 +6,13 @@ by how well their values correlate with the BFS distances of a training
 set, and evolved by ``evolve``, the mutation-only generational GA that the
 online solver also runs; ``GaConfig`` holds the settings both stages
 share.  Repeated runs collect a set of diverse metrics.
+
+``metric_value`` is the value of one sequence on one presentation.
+``metric_values`` gives the values of many sequences on many
+presentations at once: it sorts the distinct sequences and walks each
+presentation through them once, so a move prefix that several sequences
+share is applied once per presentation.  ``evolve_metric`` scores each
+generation that way, and each sequence once per run.
 """
 
 from __future__ import annotations
@@ -88,12 +95,13 @@ class MetricGaConfig(GaConfig):
 def evolve(rank: int, cfg: GaConfig, rng: random.Random, evaluate, selection_keys):
     """The generational GA of both stages.  Yields ``(population, evals)``
     for each generation, from the random initial one, until the caller
-    stops; each offspring mutates the winner of a tournament, the first
+    stops; ``evaluate(population)`` returns one entry per candidate, in
+    order.  Each offspring mutates the winner of a tournament, the first
     contender with the lowest ``selection_keys(evals)`` entry."""
     size = cfg.population_size
     population = [random_sequence(rank, cfg.initial_length, rng) for _ in range(size)]
     while True:
-        evals = [evaluate(d) for d in population]
+        evals = evaluate(population)
         yield population, evals
         keys = selection_keys(evals)
         offspring = []
@@ -152,6 +160,86 @@ def metric_value(d: MoveSequence, p: Presentation, cap: int) -> int:
         total += apply_to_relators(rels, m)
         if total >= cap:
             return cap
+    return total
+
+
+def metric_values(
+    seqs: list[MoveSequence], presentations: list[Presentation], cap: int
+) -> list[list[int]]:
+    """``[[metric_value(d, p, cap) for p in presentations] for d in seqs]``,
+    with each distinct sequence walked once and each move prefix that
+    sorted neighbours share applied once per presentation.
+
+    In sorted order a sequence shares with the one before it the longest
+    prefix it shares with any earlier one, so it resumes each presentation
+    from the state at that depth.  A state is kept only at a depth that a
+    later sequence resumes from.  A prefix whose trace reached ``cap`` is
+    kept as ``None``: capped for every sequence that extends it.
+    """
+    plan = _resume_plan(sorted(set(seqs)))
+    rows = [[] for _ in plan]
+    for p in presentations:
+        start = sum(map(len, p.relators))
+        if start >= cap:
+            for row in rows:
+                row.append(cap)
+            continue
+        kept = {0: (p.relators, start)}
+        for (d, resume, stops), row in zip(plan, rows):
+            state = kept[resume]
+            depth, total = resume, None
+            if state is not None:
+                rels, total = list(state[0]), state[1]
+                for stop in stops:
+                    total = _walk(rels, total, d[depth:stop], cap)
+                    if total is None:
+                        break
+                    kept[stop] = (tuple(rels), total)
+                    depth = stop
+                else:
+                    total = _walk(rels, total, d[depth:], cap)
+            if total is None:
+                row.append(cap)
+                for stop in stops:
+                    if stop > depth:
+                        kept[stop] = None
+            else:
+                row.append(total)
+    index = {d: k for k, (d, _, _) in enumerate(plan)}
+    return [list(rows[index[d]]) for d in seqs]
+
+
+def _resume_plan(order: list[MoveSequence]) -> list[tuple]:
+    """``(d, resume, stops)`` for each of the sorted distinct sequences:
+    the depth d resumes from, its common prefix with the sequence before
+    it, and the depths past that, ascending, that a later sequence
+    resumes from."""
+    plan = []
+    walker: dict[int, list] = {}  # depth -> stops of the last walk through it
+    prev: MoveSequence = ()
+    for d in order:
+        resume = 0
+        for a, b in zip(prev, d):
+            if a != b:
+                break
+            resume += 1
+        if resume:
+            walker[resume].append(resume)
+        stops: list[int] = []
+        for depth in range(resume + 1, len(d) + 1):
+            walker[depth] = stops
+        plan.append((d, resume, stops))
+        prev = d
+    return [(d, resume, sorted(set(stops))) for d, resume, stops in plan]
+
+
+def _walk(rels: list, total: int, moves: MoveSequence, cap: int) -> int | None:
+    """Apply moves to rels in place; the new total, or None once it
+    reaches cap."""
+    for m in moves:
+        total += apply_to_relators(rels, m)
+        if total >= cap:
+            return None
     return total
 
 
@@ -236,50 +324,63 @@ def kendall_tau(xs, ys) -> float:
 _CORRELATIONS = {"pearson": pearson, "kendall": kendall_tau}
 
 
-def _scorer(training: TrainingSet, kind: str, cap: int):
-    """``d -> correlation of its values with the training distances``."""
+def _training_cases(training: TrainingSet, kind: str):
+    """The training presentations and their distances, checked for a
+    correlation of this kind."""
     if kind not in _CORRELATIONS:
         raise ValueError(f"unknown correlation kind {kind!r}")
     distances = training.distances()
     if len(distances) < 2 or len(set(distances)) < 2:
         raise ValueError("training set is degenerate: need >= 2 distinct distances")
-    cases = [case.presentation for case in training.cases]
+    return [case.presentation for case in training.cases], distances
 
-    def score(d: MoveSequence) -> float:
-        values = [metric_value(d, p, cap) for p in cases]
-        first = values[0]
-        if all(v == first for v in values):
-            return SENTINEL_FITNESS
-        return _CORRELATIONS[kind](values, distances)
 
-    return score
+def _fitness(values: list[int], distances: list[int], kind: str) -> float:
+    """Correlation of a metric's values with the distances;
+    SENTINEL_FITNESS when the values are all equal."""
+    first = values[0]
+    if all(v == first for v in values):
+        return SENTINEL_FITNESS
+    return _CORRELATIONS[kind](values, distances)
 
 
 def metric_fitness(
     d: MoveSequence, training: TrainingSet, kind: str = "pearson", cap: int = 200
 ) -> float:
     """Correlation between d's values and the training distances."""
-    return _scorer(training, kind, cap)(d)
+    cases, distances = _training_cases(training, kind)
+    return _fitness([metric_value(d, p, cap) for p in cases], distances, kind)
 
 
 def evolve_metric(
     training: TrainingSet, config: MetricGaConfig, rng_seed: int
 ) -> MetricCandidate:
     """One generational GA run; returns the best candidate seen in any
-    generation, not merely the best of the final population."""
-    config.validate()
-    score = _scorer(training, config.correlation, config.relator_length_cap)
+    generation, not merely the best of the final population.
 
-    def fitness(d: MoveSequence) -> float:
-        if not config.min_length <= len(d) <= config.max_length:
-            return SENTINEL_FITNESS
-        return score(d)
+    Each generation's in-band sequences not yet scored in this run go
+    through one ``metric_values`` walk; a per-run dict from sequence to
+    fitness answers for the rest, and holds at most population x
+    (generations + 1) entries.
+    """
+    config.validate()
+    kind, cap = config.correlation, config.relator_length_cap
+    cases, distances = _training_cases(training, kind)
+    lo, hi = config.min_length, config.max_length
+    scored: dict[MoveSequence, float] = {}
+
+    def evaluate(population: list[MoveSequence]) -> list[float]:
+        fresh = [d for d in population if lo <= len(d) <= hi and d not in scored]
+        fresh = list(dict.fromkeys(fresh))
+        for d, values in zip(fresh, metric_values(fresh, cases, cap)):
+            scored[d] = _fitness(values, distances, kind)
+        return [scored.get(d, SENTINEL_FITNESS) for d in population]
 
     best = None
     rng = random.Random(rng_seed)
     # higher fitness is better, the engine's tournaments pick the lowest key
     generations = evolve(
-        training.rank, config, rng, fitness, lambda scores: [-s for s in scores]
+        training.rank, config, rng, evaluate, lambda scores: [-s for s in scores]
     )
     for generation, (population, scores) in enumerate(generations):
         gen_best, gen_score = max(zip(population, scores), key=lambda t: t[1])

@@ -278,7 +278,10 @@ def run_search(
         instance.rank,
         cfg,
         random.Random(seed),
-        lambda d: evaluate_candidate(d, instance, model, ball, cfg, known),
+        lambda population: [
+            evaluate_candidate(d, instance, model, ball, cfg, known)
+            for d in population
+        ],
         lambda evals: _selection_keys(evals, cfg.mode),
     )
     for generation, (population, evals) in enumerate(generations):

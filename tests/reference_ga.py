@@ -1,9 +1,12 @@
 """Slow reference for the generational GA, as two separate loops.
 
-These are ``metrics.evolve_metric`` and ``solver.run_search`` verbatim as
-the library had them before both became loops over ``metrics.evolve``.
-Tests require the engine to give the same best candidate, run record and
-evaluated sequences, in the same order, as these loops.  They resolve
+These are ``metrics.evolve_metric`` and ``solver.run_search`` as the
+library had them before both became loops over ``metrics.evolve``; the
+metric loop's per-candidate fitness is ``reference_metric_fitness``.
+Tests require the engine to give the same best candidate and run record as
+these loops, the search the same evaluated sequences in the same order, and
+metric learning each candidate the fitness ``reference_metric_fitness``
+gives it alone.  They resolve
 ``evaluate_candidate`` in this module, so a test that collects evaluated
 sequences patches it here.
 """
@@ -28,6 +31,21 @@ from actriv.solver import RunResult, SolverConfig, _selection_keys, evaluate_can
 from actriv.variation import mutate, random_sequence
 
 
+def reference_metric_fitness(
+    d: MoveSequence, training: TrainingSet, config: MetricGaConfig
+) -> float:
+    """The fitness of one candidate of a metric-learning run, on its own:
+    ``metric_value`` on each case, then the correlation."""
+    if not config.min_length <= len(d) <= config.max_length:
+        return SENTINEL_FITNESS
+    cap = config.relator_length_cap
+    values = [metric_value(d, case.presentation, cap) for case in training.cases]
+    first = values[0]
+    if all(v == first for v in values):
+        return SENTINEL_FITNESS
+    return _CORRELATIONS[config.correlation](values, training.distances())
+
+
 def reference_evolve_metric(
     training: TrainingSet, config: MetricGaConfig, rng_seed: int
 ) -> MetricCandidate:
@@ -38,18 +56,9 @@ def reference_evolve_metric(
     if len(distances) < 2 or len(set(distances)) < 2:
         raise ValueError("training set is degenerate: need >= 2 distinct distances")
     rank = training.rank
-    cases = [case.presentation for case in training.cases]
-    corr = _CORRELATIONS[config.correlation]
-    cap = config.relator_length_cap
 
     def fitness(d: MoveSequence) -> float:
-        if not config.min_length <= len(d) <= config.max_length:
-            return SENTINEL_FITNESS
-        values = [metric_value(d, p, cap) for p in cases]
-        first = values[0]
-        if all(v == first for v in values):
-            return SENTINEL_FITNESS
-        return corr(values, distances)
+        return reference_metric_fitness(d, training, config)
 
     rng = random.Random(rng_seed)
     population = [

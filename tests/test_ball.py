@@ -18,7 +18,8 @@ from actriv.ball import (
     save_training,
 )
 from actriv.catalog import get_instance
-from actriv.notation import Spelling, format_presentation, format_word
+from actriv import notation
+from actriv.notation import Spelling, format_move, format_presentation, format_word
 from actriv.presentations import (
     Presentation,
     canonical_form,
@@ -560,6 +561,19 @@ class TestSaveAgainstReference:
         assert (tmp_path / "built.tsv").read_bytes() == expected
         save_ball(load_ball(str(tmp_path / "built.tsv")), str(tmp_path / "loaded.tsv"))
         assert (tmp_path / "loaded.tsv").read_bytes() == expected
+
+    def test_spells_each_move_once(self, tmp_path, monkeypatch):
+        built = build_ball(2, 12, 5)
+        spelled = []
+
+        def counting(move, rank):
+            spelled.append(move)
+            return format_move(move, rank)
+
+        monkeypatch.setattr(notation, "format_move", counting)
+        save_ball(built, str(tmp_path / "built.tsv"))
+        moves = {move for _, _, move in built.members.values()} - {None}
+        assert sorted(spelled) == sorted(moves)
 
 
 class TestLoadAgainstReference:

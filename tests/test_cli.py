@@ -341,6 +341,9 @@ class TestInputBoundary:
             (["fit", "--metrics", "{d}/metrics2.txt", "--train", "{d}/train.tsv",
               "--cap", "1", "--out", "{d}/x.txt"],
              "none of the 1 metrics varies over the training set"),
+            (["fit", "--metrics", "{d}/metrics2.txt", "--train", "{d}/train.tsv",
+              "--mode", "multi", "--cap", "1", "--out", "{d}/x.txt"],
+             "none of the 1 metrics varies over the training set"),
             (["solve", "--instance", "T1", "--ball", "{d}/ball.tsv",
               "--model", "{d}/model3.txt", "--out", "{d}/x.jsonl"],
              "a rank 3 model cannot drive a rank 2 instance"),
@@ -370,7 +373,7 @@ class TestInputBoundary:
         ids=["unknown-instance", "bad-instance-text", "ball-limits", "ball-members",
              "sample-count", "learn-runs", "learn-population", "learn-generations",
              "fit-objectives", "fit-rank", "fit-cap", "fit-multi-cap",
-             "fit-constant", "solve-rank", "solve-ball-rank",
+             "fit-constant", "fit-multi-constant", "solve-rank", "solve-ball-rank",
              "solve-relator-cap", "solve-instance-over-cap",
              "verify-ball-rank", "out-directory", "not-utf8"],
     )

@@ -8,6 +8,7 @@ from actriv.ensemble import (
     EnsembleWeights,
     ObjectiveSet,
     ScalarEnsemble,
+    _design_matrix,
     fit_weights,
     load_ensemble,
     load_objectives,
@@ -46,6 +47,19 @@ def design_columns(metric_set, training, cap=200):
         [metric_value(d, c.presentation, cap) for c in training.cases]
         for d in metric_set.metrics
     ]
+
+
+class TestDesignMatrix:
+    @pytest.mark.parametrize("cap", [200, 12, 1])
+    def test_matches_metric_value_columns(self, training, cap):
+        rng = random.Random(4)
+        distinct = [random_sequence(2, rng.randrange(0, 12), rng) for _ in range(6)]
+        # duplicates, a shared prefix and the empty metric, in metric order
+        metrics = distinct + [distinct[2], distinct[0][:3], (), distinct[2]]
+        metric_set = MetricSet(2, metrics)
+        assert _design_matrix(metric_set, training, cap) == design_columns(
+            metric_set, training, cap
+        )
 
 
 class TestFitWeights:
@@ -129,13 +143,14 @@ class TestFitWeights:
         with pytest.raises(ValueError, match="^cap must be >= 1$"):
             fit(MetricSet(2, [()]), training, cap=cap)
 
-    def test_no_varying_metric(self, training):
+    @pytest.mark.parametrize("fit", [fit_weights, trim_objectives])
+    def test_no_varying_metric(self, training, fit):
         # at cap 1 every metric reads 1 on every case
         metric_set = MetricSet(2, [(), (multiply_move(0, 1),)])
         with pytest.raises(
             ValueError, match="^none of the 2 metrics varies over the training set$"
         ):
-            fit_weights(metric_set, training, cap=1)
+            fit(metric_set, training, cap=1)
 
     @pytest.mark.parametrize("fit", [fit_weights, trim_objectives])
     def test_rank_mismatch(self, training, fit):

@@ -3,6 +3,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import actriv.metrics as metrics
 from actriv.ball import FitnessCase, TrainingSet, build_ball, sample_cases
@@ -17,19 +18,20 @@ from actriv.metrics import (
     load_metric_set,
     metric_fitness,
     metric_value,
+    metric_values,
     pearson,
     save_metric_set,
 )
 from actriv.presentations import (
     enumerate_moves,
     invert_move,
+    make_presentation,
     multiply_move,
     total_length,
     trivial_presentation,
 )
 from actriv.variation import random_sequence
-import reference_ga
-from reference_ga import reference_evolve_metric
+from reference_ga import reference_evolve_metric, reference_metric_fitness
 from reference_moves import reference_trace, total
 
 
@@ -114,6 +116,73 @@ class TestMetricValue:
             lengths = [total(rels) for rels in reference_trace(p.relators, seq)]
             expected = cap if max(lengths) >= cap else lengths[-1]
             assert metric_value(seq, p, cap) == expected
+
+
+@st.composite
+def walk_inputs(draw):
+    """Sequences of one rank that share prefixes, repeat one another and
+    include the empty one, with presentations of that rank and a small
+    cap that some starting totals already reach."""
+    rank = draw(st.sampled_from([2, 3]))
+    moves = st.sampled_from(enumerate_moves(rank))
+    letters = st.sampled_from([s * g for g in range(1, rank + 1) for s in (1, -1)])
+    relator = st.lists(letters, max_size=6)
+    presentations = draw(
+        st.lists(
+            st.lists(relator, min_size=rank, max_size=rank).map(
+                lambda rels: make_presentation(rank, rels)
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    stems = draw(st.lists(st.lists(moves, max_size=8), min_size=1, max_size=3))
+    seqs = [()]
+    for _ in range(draw(st.integers(0, 12))):
+        stem = draw(st.sampled_from(stems))
+        cut = draw(st.integers(0, len(stem)))
+        seqs.append(tuple(stem[:cut]) + tuple(draw(st.lists(moves, max_size=4))))
+    seqs += draw(st.lists(st.sampled_from(seqs), max_size=4))
+    seqs = draw(st.permutations(seqs))
+    return seqs, presentations, draw(st.integers(1, 24))
+
+
+class TestMetricValues:
+    @given(walk_inputs())
+    def test_matches_metric_value(self, inputs):
+        seqs, presentations, cap = inputs
+        assert metric_values(seqs, presentations, cap) == [
+            [metric_value(d, p, cap) for p in presentations] for d in seqs
+        ]
+
+    def test_capped_prefix_caps_its_extensions(self):
+        # on T1 (total 10) mul:0:1 gives total 13; inv:1 then mul:0:1
+        # cancels it again, so (g, i, g) ends at 10 unless its prefix (g,)
+        # was capped
+        t1 = get_instance("T1").presentation
+        g, i = multiply_move(0, 1), invert_move(1)
+        seqs = [(g, i, g), (g,), (g, i)]
+        assert metric_values(seqs, [t1], 14) == [[10], [13], [13]]
+        assert metric_values(seqs, [t1], 13) == [[13], [13], [13]]
+
+    def test_start_at_cap(self):
+        t1 = get_instance("T1").presentation
+        seqs = [(), (invert_move(0),)]
+        assert metric_values(seqs, [t1], 10) == [[10], [10]]
+        assert metric_values(seqs, [t1], 11) == [[10], [10]]
+
+    def test_rows_in_input_order_and_not_shared(self):
+        t1 = get_instance("T1").presentation
+        d = (multiply_move(0, 1),)
+        rows = metric_values([d, (), d], [t1, t1], 200)
+        assert rows == [[13, 13], [10, 10], [13, 13]]
+        rows[0].append(0)
+        assert rows[2] == [13, 13]
+
+    def test_no_sequences_or_no_presentations(self):
+        t1 = get_instance("T1").presentation
+        assert metric_values([], [t1], 200) == []
+        assert metric_values([(), ()], [], 200) == [[], []]
 
 
 class TestPearson:
@@ -253,25 +322,31 @@ class TestEvolveMetricAgainstReference:
     @pytest.mark.parametrize("kind", ["pearson", "kendall"])
     @pytest.mark.parametrize("seed", [0, 17])
     def test_same_best_candidate(self, small_training, kind, seed, monkeypatch):
-        """The engine gives the best candidate and the metric evaluations,
-        in order, of the loop ``evolve_metric`` had before ``evolve``."""
+        """The engine gives the best candidate of the loop ``evolve_metric``
+        had before ``evolve``, and every candidate of every generation the
+        fitness that ``metric_value`` and the correlation give it alone."""
         config = MetricGaConfig(population_size=30, generations=15, correlation=kind)
+        generations = []
+        engine = metrics.evolve
 
-        def traced_run(module, run):
-            seen = []
+        def recording(*args):
+            for population, scores in engine(*args):
+                generations.append((population, scores))
+                yield population, scores
 
-            def collecting(d, *args):
-                seen.append(d)
-                return metric_value(d, *args)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(module, "metric_value", collecting)
-                best = run(small_training, config, seed)
-            return best, seen
-
-        shipped = traced_run(metrics, evolve_metric)
-        assert len(shipped[1]) > config.population_size * len(small_training.cases)
-        assert traced_run(reference_ga, reference_evolve_metric) == shipped
+        monkeypatch.setattr(metrics, "evolve", recording)
+        best = evolve_metric(small_training, config, seed)
+        assert best == reference_evolve_metric(small_training, config, seed)
+        assert len(generations) == config.generations + 1
+        for population, scores in generations:
+            assert scores == [
+                reference_metric_fitness(d, small_training, config)
+                for d in population
+            ]
+        # later generations repeat earlier candidates, which the run's memo
+        # answers
+        seen = [d for population, _ in generations for d in population]
+        assert len(set(seen)) < len(seen)
 
 
 class TestMetricGaConfig:

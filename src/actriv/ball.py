@@ -11,18 +11,28 @@ A build or a load canonicalizes each distinct relator once, and its keys
 share one interned tuple per canonical word; ``save_ball`` and
 ``load_ball`` spell each distinct relator once.
 
+A member stores only its parent's key, in BFS order.  The move from the
+parent sits in one array of move indices, and the depth census says where
+each depth starts, so a member's depth follows from its position or from
+its parent hops.  ``records`` yields ``(key, depth, parent, move)`` from
+these, and ``save_ball`` writes them; a ball file is in BFS order.
+
 Membership of a presentation is membership of its canonical class, as
 ``Ball.key_of`` answers it.  ``lookup`` also rebuilds a move path to the
-trivial class; because parent links connect canonical representatives,
-the replay path interleaves inverse moves with rotation/inversion
-alignment moves and is therefore usually longer than the BFS depth.
+trivial class.  It takes each move as the first one that ``_child`` finds
+from the parent to the member, which is the move the BFS recorded.
+Because parent links connect canonical representatives, the replay path
+interleaves inverse moves with rotation/inversion alignment moves and is
+therefore usually longer than the BFS depth.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import chain, islice, repeat
+from typing import Iterator, NamedTuple
 
 from . import formats, notation
 from .presentations import (
@@ -68,10 +78,24 @@ class Ball:
     rank: int
     max_total_length: int
     max_depth: int
-    # canonical relators -> (depth, parent canonical relators, move from parent)
-    members: dict[BallKey, tuple[int, BallKey | None, AcMove | None]] = field(
-        default_factory=dict
-    )
+    # canonical relators -> parent canonical relators (None for the root),
+    # in BFS order
+    members: dict[BallKey, BallKey | None] = field(default_factory=dict)
+    # per member, in ``members`` order: the index in enumerate_moves(rank) of
+    # the move from its parent; 0 for the root
+    moves: array = field(default_factory=lambda: array("H"))
+    # members per depth; depth never falls along ``members``
+    census: list[int] = field(default_factory=list)
+
+    def _add(
+        self, key: BallKey, parent: BallKey | None, move: int, depth: int
+    ) -> None:
+        """Append a member at ``depth``, which is the last depth or one more."""
+        self.members[key] = parent
+        self.moves.append(move)
+        if depth == len(self.census):
+            self.census.append(0)
+        self.census[depth] += 1
 
     def __len__(self) -> int:
         return len(self.members)
@@ -86,17 +110,31 @@ class Ball:
                 f"a rank {self.rank} ball cannot check a rank {rank} instance"
             )
 
+    def depth(self, key: BallKey) -> int:
+        """The member's depth: its parent hops to the root."""
+        hops = 0
+        while (key := self.members[key]) is not None:
+            hops += 1
+        return hops
+
     def depth_of(self, p: Presentation) -> int | None:
-        return None if (key := self.key_of(p)) is None else self.members[key][0]
+        return None if (key := self.key_of(p)) is None else self.depth(key)
 
     def __contains__(self, p: Presentation) -> bool:
         return self.key_of(p) is not None
 
     def depth_census(self) -> dict[int, int]:
-        census: dict[int, int] = {}
-        for depth, _, _ in self.members.values():
-            census[depth] = census.get(depth, 0) + 1
-        return census
+        return dict(enumerate(self.census))
+
+    def records(self) -> Iterator[tuple[BallKey, int, BallKey | None, AcMove | None]]:
+        """``(key, depth, parent, move from parent)`` per member, in BFS
+        order; the root's parent and move are None."""
+        moves = enumerate_moves(self.rank)
+        depths = chain.from_iterable(repeat(d, n) for d, n in enumerate(self.census))
+        for (key, parent), depth, move in zip(
+            self.members.items(), depths, self.moves, strict=True
+        ):
+            yield key, depth, parent, None if parent is None else moves[move]
 
 
 class BallPathError(RuntimeError):
@@ -153,6 +191,23 @@ def _child(
     return tuple(rels), delta
 
 
+def _check_limits(rank: int, max_total_length: int, max_depth: int) -> None:
+    """The ball's limits, as ``build_ball`` takes them and a ball file's
+    header declares them: the trivial presentation, of total length
+    ``rank``, must fit the length cap."""
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+    if max_total_length < 1:
+        raise ValueError("max_total_length must be >= 1")
+    if max_total_length < rank:
+        raise ValueError(
+            f"max_total_length {max_total_length} is below the trivial "
+            f"presentation's total length {rank}"
+        )
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+
+
 def build_ball(
     rank: int,
     max_total_length: int,
@@ -160,16 +215,13 @@ def build_ball(
     max_members: int | None = None,
 ) -> Ball:
     """Breadth-first enumeration of canonical classes around the trivial one."""
-    if max_total_length < 1:
-        raise ValueError("max_total_length must be >= 1")
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+    _check_limits(rank, max_total_length, max_depth)
     if max_members is not None and max_members < 1:
         raise ValueError("max_members must be >= 1")
     moves = enumerate_moves(rank)
     root, canon = _root(rank)
     ball = Ball(rank, max_total_length, max_depth)
-    ball.members[root] = (0, None, None)
+    ball._add(root, None, 0, 0)
     root_total = sum(len(r) for r in root)
     queue: deque[tuple[BallKey, int, int]] = deque()
     if root_total < max_total_length:
@@ -178,11 +230,11 @@ def build_ball(
         key, depth, total = queue.popleft()
         child_depth = depth + 1
         room = max_total_length - total
-        for m in moves:
+        for index, m in enumerate(moves):
             child, delta = _child(key, m, room, canon)
             if child is None or child in ball.members:
                 continue
-            ball.members[child] = (child_depth, key, m)
+            ball._add(child, key, index, child_depth)
             if max_members is not None and len(ball.members) > max_members:
                 raise BallCapacityError(ball, max_members)
             if child_depth < max_depth and delta < room:
@@ -210,9 +262,9 @@ def sample_cases(ball: Ball, count: int, rng_seed: int) -> TrainingSet:
         raise ValueError(
             f"count {count} is more than the ball's {len(ball.members)} members"
         )
-    strata: dict[int, list[BallKey]] = {}
-    for key, (depth, _, _) in ball.members.items():
-        strata.setdefault(depth, []).append(key)
+    # each depth's members are a consecutive run of ``members``
+    members = iter(ball.members)
+    strata = {d: list(islice(members, n)) for d, n in enumerate(ball.census) if n}
     depths = sorted(strata)
     quotas = {d: 0 for d in depths}
     remaining = count
@@ -261,13 +313,6 @@ def _moves_to_canonical(w: Word, i: int) -> list[AcMove]:
     return [(INVERT, i, 0)] + path
 
 
-def _invert_move_list(moves: list[AcMove]) -> list[AcMove]:
-    out = []
-    for kind, i, x in reversed(moves):
-        out.append((kind, i, -x) if kind == CONJUGATE else (kind, i, x))
-    return out
-
-
 def _align(current: list[Word], target: BallKey, path: list[AcMove]) -> list[int]:
     """Rotate/invert relators of ``current`` in place until they equal the
     relators of ``target`` as a multiset; returns perm with
@@ -288,7 +333,11 @@ def _align(current: list[Word], target: BallKey, path: list[AcMove]) -> list[int
     for j in range(n):
         i = perm[j]
         moves = _moves_to_canonical(current[i], i)
-        moves += _invert_move_list(_moves_to_canonical(target[j], i))
+        moves += [
+            inverse
+            for m in reversed(_moves_to_canonical(target[j], i))
+            for inverse in inverse_moves(m)
+        ]
         for m in moves:
             apply_to_relators(current, m)
             path.append(m)
@@ -297,18 +346,31 @@ def _align(current: list[Word], target: BallKey, path: list[AcMove]) -> list[int
     return perm
 
 
+def _move_from(
+    ball: Ball, parent: BallKey, key: BallKey, canon: dict[Word, Word]
+) -> AcMove:
+    """The first move in ``enumerate_moves`` order that ``_child`` takes from
+    ``parent`` to ``key``.  The BFS records a child at the first move that
+    reaches it, so this is the move ``build_ball`` recorded and
+    ``save_ball`` wrote."""
+    room = ball.max_total_length - sum(map(len, parent))
+    for move in enumerate_moves(ball.rank):
+        if _child(parent, move, room, canon)[0] == key:
+            return move
+    raise BallPathError("no move takes the recorded parent to the member")
+
+
 def lookup(ball: Ball, p: Presentation) -> tuple[int, MoveSequence] | None:
     """Depth and an explicit move path from p to the trivial class, if p's
     canonical class is in the ball."""
     if (key := ball.key_of(p)) is None:
         return None
-    depth = ball.members[key][0]
+    depth = ball.depth(key)
+    canon: dict[Word, Word] = {}
     path: list[AcMove] = []
     current = list(p.relators)
-    while True:
-        _, parent, move = ball.members[key]
-        if parent is None:
-            break
+    while (parent := ball.members[key]) is not None:
+        move = _move_from(ball, parent, key, canon)
         raw_child = list(parent)
         apply_to_relators(raw_child, move)
         perm = _align(current, tuple(raw_child), path)
@@ -336,7 +398,7 @@ def save_ball(ball: Ball, path: str) -> None:
 
     def records():
         index: dict[BallKey, int] = {}
-        for pos, (key, (depth, parent, move)) in enumerate(ball.members.items()):
+        for pos, (key, depth, parent, move) in enumerate(ball.records()):
             index[key] = pos
             code = codes.get(move)
             if code is None:
@@ -357,18 +419,27 @@ def save_ball(ball: Ball, path: str) -> None:
 
 
 def load_ball(path: str) -> Ball:
-    """Read a ball written by ``save_ball``.  Each member is replayed from
-    its parent and move; its stored text only has to agree with the
-    replayed key.  Each distinct relator is canonicalized and spelled once,
-    and each distinct move code parsed once.  Every error names
-    ``path:line``."""
+    """Read a ball written by ``save_ball``.  The header's limits must be
+    ones ``build_ball`` takes, and the lines must be in BFS order.  Each
+    member is replayed from its parent and move; its stored text only has
+    to agree with the replayed key.  Each distinct relator is canonicalized
+    and spelled once, and each distinct move code parsed once.  Every error
+    names ``path`` or ``path:line``."""
     with formats.read_file(path, "ball", 4) as (header, records):
-        ball = Ball(*map(header.int, ("rank", "max_total_length", "max_depth")))
+        limits = [header.int(k) for k in ("rank", "max_total_length", "max_depth")]
+        try:
+            _check_limits(*limits)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        ball = Ball(*limits)
         rank, cap, members = ball.rank, ball.max_total_length, ball.members
         root, canon = _root(rank)
         spelling = notation.Spelling(rank)
-        moves: dict[str, AcMove] = {}
+        all_moves = enumerate_moves(rank)
+        # move code -> (move, its index in all_moves)
+        parsed: dict[str, tuple[AcMove, int]] = {}
         order: list[BallKey] = []
+        depths: list[int] = []
         for where, (text, depth, parent_idx, code) in records:
             depth = formats.parse_int(depth, "depth", where)
             parent, parent_depth = None, -1
@@ -378,8 +449,7 @@ def load_ball(path: str) -> Ball:
                     raise ValueError(
                         f"{where}: parent index {idx} is not an earlier member"
                     )
-                parent = order[idx]
-                parent_depth = members[parent][0]
+                parent, parent_depth = order[idx], depths[idx]
             if depth != parent_depth + 1:
                 raise ValueError(f"{where}: depth {depth} is not parent depth + 1")
             if parent is None:
@@ -387,15 +457,22 @@ def load_ball(path: str) -> Ball:
                     raise ValueError(f"{where}: a second root")
                 if code != "-":
                     raise ValueError(f"{where}: root move {code!r} is not '-'")
-                key, move = root, None
+                key, index = root, 0
             else:
                 if depth > ball.max_depth:
                     raise ValueError(
                         f"{where}: depth {depth} exceeds max_depth {ball.max_depth}"
                     )
-                move = moves.get(code)
-                if move is None:
-                    move = moves[code] = formats.parse_move(code, rank, where)
+                if depth < depths[-1]:
+                    raise ValueError(
+                        f"{where}: depth {depth} follows depth {depths[-1]}; "
+                        "a ball file is in BFS order"
+                    )
+                found = parsed.get(code)
+                if found is None:
+                    move = formats.parse_move(code, rank, where)
+                    found = parsed[code] = (move, all_moves.index(move))
+                move, index = found
                 total = sum(map(len, parent))
                 key, delta = _child(parent, move, cap - total, canon)
                 if key is None:
@@ -411,8 +488,9 @@ def load_ball(path: str) -> Ball:
                         f"{where}: presentation does not follow from its parent "
                         "and move"
                     )
-            members[key] = (depth, parent, move)
+            ball._add(key, parent, index, depth)
             order.append(key)
+            depths.append(depth)
     if not members:
         raise ValueError(f"{path}: empty ball file")
     return ball
@@ -429,11 +507,11 @@ def save_training(ts: TrainingSet, path: str) -> None:
 def load_training(path: str) -> TrainingSet:
     with formats.read_file(path, "training", 2) as (header, records):
         rank = header.int("rank")
-        cases = [
-            FitnessCase(
-                formats.parse_presentation(text, rank, where),
-                formats.parse_int(distance, "distance", where),
-            )
-            for where, (text, distance) in records
-        ]
+        cases = []
+        for where, (text, distance) in records:
+            p = formats.parse_presentation(text, rank, where)
+            distance = formats.parse_int(distance, "distance", where)
+            if distance < 0:
+                raise ValueError(f"{where}: distance {distance} is negative")
+            cases.append(FitnessCase(p, distance))
     return TrainingSet(rank, cases)

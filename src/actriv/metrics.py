@@ -429,5 +429,7 @@ def load_metric_set(path: str) -> MetricSet:
         metrics = [
             formats.parse_sequence(text, rank, where) for where, (text,) in records
         ]
+    if not metrics:
+        raise ValueError(f"{path}: no metrics")
     meta = {key: value for key, value in header.fields.items() if key != "rank"}
     return MetricSet(rank=rank, metrics=metrics, meta=meta)

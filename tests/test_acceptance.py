@@ -114,7 +114,7 @@ class TestCriterion3BfsOracle:
         ball = build_ball(2, 12, 6)
         reference = reference_bfs(2, 12, 6, seed=101)
         assert ball.members.keys() == reference.keys()
-        for key, (depth, _, _) in ball.members.items():
+        for key, depth, _, _ in ball.records():
             assert depth == reference[key]
         training = sample_cases(ball, 200, rng_seed=55)
         assert len(training.cases) == 200

@@ -8,6 +8,7 @@ from actriv.ball import (
     BallCapacityError,
     BallPathError,
     _child,
+    _move_from,
     _root,
     build_ball,
     load_ball,
@@ -21,6 +22,7 @@ from actriv.catalog import get_instance
 from actriv import notation
 from actriv.notation import Spelling, format_move, format_presentation, format_word
 from actriv.presentations import (
+    MULTIPLY,
     Presentation,
     canonical_form,
     canonical_relators,
@@ -65,7 +67,7 @@ class TestBuildBall:
     def test_trivial_at_depth_zero(self):
         ball = build_ball(2, 4, 2)
         root = canonical_relators(trivial_presentation(2).relators)
-        assert ball.members[root][0] == 0
+        assert ball.depth(root) == 0
 
     def test_depth_one_census(self):
         # brute force: distinct canonical non-trivial neighbors of length <= 4
@@ -81,7 +83,7 @@ class TestBuildBall:
 
     def test_depth_and_length_bounds(self):
         ball = build_ball(2, 6, 3)
-        for key, (depth, _, _) in ball.members.items():
+        for key, depth, _, _ in ball.records():
             assert depth <= 3
             assert sum(len(r) for r in key) <= 6
 
@@ -97,20 +99,40 @@ class TestBuildBall:
             ball = build_ball(*limits)
             reference = reference_bfs(*limits, seed=42)
             assert ball.members.keys() == reference.keys()
-            for key, (depth, _, _) in ball.members.items():
+            for key, depth, _, _ in ball.records():
                 assert depth == reference[key]
 
     def test_monotone_in_limits(self):
         small = build_ball(2, 6, 3)
         wider = build_ball(2, 8, 3)
         deeper = build_ball(2, 6, 5)
-        for key, (depth, _, _) in small.members.items():
-            assert wider.members[key][0] <= depth
-            assert deeper.members[key][0] <= depth
+        for key, depth, _, _ in small.records():
+            assert wider.depth(key) <= depth
+            assert deeper.depth(key) <= depth
 
     def test_limit_validation(self):
         with pytest.raises(ValueError):
             build_ball(2, 0, 3)
+
+    @pytest.mark.parametrize(
+        "limits, message",
+        [
+            ((0, 6, 2), "rank must be >= 1, got 0"),
+            ((2, 6, 0), "max_depth must be >= 1"),
+            ((3, 2, 2), "max_total_length 2 is below the trivial presentation's"),
+        ],
+    )
+    def test_rejects_limits(self, limits, message):
+        with pytest.raises(ValueError, match=message):
+            build_ball(*limits)
+
+    def test_census_counts_each_depth(self):
+        ball = build_ball(2, 8, 4)
+        depths = [ball.depth(key) for key in ball.members]
+        assert depths == sorted(depths)
+        assert ball.census == [depths.count(d) for d in range(max(depths) + 1)]
+        assert ball.depth_census() == dict(enumerate(ball.census))
+        assert len(ball.moves) == len(ball)
 
     def test_capacity_error_carries_partial(self):
         with pytest.raises(BallCapacityError) as info:
@@ -121,11 +143,11 @@ class TestBuildBall:
 
     def test_parent_links_consistent(self):
         ball = build_ball(2, 8, 4)
-        for key, (depth, parent, move) in ball.members.items():
+        for key, depth, parent, move in ball.records():
             if parent is None:
                 assert depth == 0
                 continue
-            assert ball.members[parent][0] == depth - 1
+            assert ball.depth(parent) == depth - 1
             assert canonical_relators(reference_apply(parent, move)) == key
 
 
@@ -208,7 +230,7 @@ class TestSampling:
 
     def test_covers_every_stratum(self):
         ball = build_ball(2, 8, 4)
-        strata = set(depth for depth, _, _ in ball.members.values())
+        strata = set(depth for _, depth, _, _ in ball.records())
         training = sample_cases(ball, len(strata), rng_seed=3)
         assert set(training.distances()) == strata
 
@@ -222,6 +244,14 @@ class TestSampling:
         ball = build_ball(2, 4, 2)
         with pytest.raises(ValueError):
             sample_cases(ball, len(ball) + 1, rng_seed=0)
+
+    @pytest.mark.parametrize("limits", [(2, 8, 4), (3, 8, 3)])
+    def test_same_cases_as_reference(self, limits):
+        ball = build_ball(*limits)
+        for seed in (0, 1, 7, 55):
+            for count in (5, 40, len(ball)):
+                expected = reference_ball.sample_cases(ball, count, seed)
+                assert sample_cases(ball, count, seed) == expected
 
 
 def replayed_class(rels, path):
@@ -240,7 +270,7 @@ class TestLookup:
 
     def test_depth_one_members(self):
         ball = build_ball(2, 6, 3)
-        for key, (depth, _, _) in ball.members.items():
+        for key, depth, _, _ in ball.records():
             if depth != 1:
                 continue
             d, path = lookup(ball, Presentation(2, key))
@@ -270,13 +300,29 @@ class TestLookup:
         ball = build_ball(2, 8, 4)
         assert lookup(ball, get_instance("AK3").presentation) is None
 
+    @pytest.mark.parametrize("limits", [(2, 8, 4), (3, 8, 3)])
+    def test_recovers_the_recorded_move(self, limits):
+        ball = build_ball(*limits)
+        moves = enumerate_moves(ball.rank)
+        canon = {}
+        for pos, (key, parent) in enumerate(ball.members.items()):
+            if parent is not None:
+                assert _move_from(ball, parent, key, canon) == moves[ball.moves[pos]]
+
+    def test_recovers_the_first_of_two_moves(self):
+        # in the balls above each member is reached from its parent by one
+        # move only; from <a,b|b,b>, outside any ball, mul:0:1 and mul:1:0
+        # both reach <a,b|b,b^2>, and the BFS would record the first
+        parent, key = ((2,), (2,)), ((2,), (2, 2))
+        hits = [m for m in enumerate_moves(2) if _child(parent, m, 10, {})[0] == key]
+        assert hits == [(MULTIPLY, 0, 1), (MULTIPLY, 1, 0)]
+        assert _move_from(Ball(2, 10, 3), parent, key, {}) == hits[0]
+
     def test_corrupt_parent_link_raises(self):
         ball = build_ball(2, 6, 3)
-        key, (depth, _, move) = next(
-            (k, info) for k, info in ball.members.items() if info[0] == 2
-        )
-        # the move from the trivial class lands at depth 1, never on key
-        ball.members[key] = (depth, TRIVIAL_CLASS, move)
+        key = next(k for k, depth, _, _ in ball.records() if depth == 2)
+        # a move from the trivial class lands at depth 1, never on key
+        ball.members[key] = TRIVIAL_CLASS
         with pytest.raises(BallPathError):
             lookup(ball, Presentation(2, key))
 
@@ -325,7 +371,7 @@ class TestKeyOf:
         expected = key if key in query_ball.members else None
         assert query_ball.key_of(p) == expected
         assert (p in query_ball) == (expected is not None)
-        depth = None if expected is None else query_ball.members[key][0]
+        depth = None if expected is None else query_ball.depth(key)
         assert query_ball.depth_of(p) == depth
         if must_be_member:
             assert expected is not None
@@ -378,6 +424,19 @@ def lower_max_depth(lines):
     lines[0] = "# actriv-ball rank=2 max_total_length=6 max_depth=1"
 
 
+def move_member_after_its_parent(lines):
+    # member 7 (line 9, depth 2) moves up to follow member 1, its parent,
+    # ahead of the depth-1 members 2 to 6; parent indices follow the move
+    order = list(range(len(lines) - 1))
+    order.insert(2, order.pop(7))
+    new_index = {old: new for new, old in enumerate(order)}
+    records = [lines[1 + old].split("\t") for old in order]
+    for cells in records:
+        if cells[2] != "-1":
+            cells[2] = str(new_index[int(cells[2])])
+    lines[1:] = ["\t".join(cells) for cells in records]
+
+
 # whole-file edits that a loader which only parses the text accepts:
 # (edit, line of the error, message)
 FILES_ONLY_REPLAY_REJECTS = [
@@ -386,6 +445,11 @@ FILES_ONLY_REPLAY_REJECTS = [
     (give_the_root_a_move, 2, "root move 'inv:0' is not '-'"),
     (lower_max_total_length, 21, "total length 6 exceeds max_total_length 5"),
     (lower_max_depth, 9, "depth 2 exceeds max_depth 1"),
+    (
+        move_member_after_its_parent,
+        5,
+        "depth 1 follows depth 2; a ball file is in BFS order",
+    ),
 ]
 FILE_EDIT_IDS = [edit.__name__ for edit, _, _ in FILES_ONLY_REPLAY_REJECTS]
 
@@ -427,7 +491,7 @@ class TestPersistence:
         assert loaded.rank == 2
         assert loaded.max_total_length == 8
         assert loaded.max_depth == 4
-        assert loaded.members == ball.members
+        assert list(loaded.records()) == list(ball.records())
 
     def test_training_round_trip(self, tmp_path):
         ball = build_ball(2, 8, 4)
@@ -444,8 +508,8 @@ class TestPersistence:
         before = path.read_bytes()
         broken = build_ball(2, 6, 2)
         # a member whose parent is not in the ball cannot be written
-        key = next(k for k, info in broken.members.items() if info[0] == 2)
-        broken.members[key] = (2, ((9,), (9,)), broken.members[key][2])
+        key = next(k for k, depth, _, _ in broken.records() if depth == 2)
+        broken.members[key] = ((9,), (9,))
         with pytest.raises(KeyError):
             save_ball(broken, str(path))
         assert path.read_bytes() == before
@@ -456,7 +520,7 @@ class TestPersistence:
         save_ball(ball, str(tmp_path / "ball.tsv"))
         loaded = load_ball(str(tmp_path / "ball.tsv"))
         assert (loaded.rank, loaded.max_total_length, loaded.max_depth) == (3, 8, 3)
-        assert loaded.members == ball.members
+        assert list(loaded.records()) == list(ball.records())
         training = sample_cases(ball, 40, rng_seed=3)
         save_training(training, str(tmp_path / "train.tsv"))
         loaded = load_training(str(tmp_path / "train.tsv"))
@@ -483,6 +547,15 @@ class TestPersistence:
             ("rank=2 max_depth=2", "header has no 'max_total_length'"),
             ("rank=2 max_total_length=6 depth2", "header field 'depth2' is not"),
             ("rank=two max_total_length=6 max_depth=2", "header rank 'two' is not"),
+            # limits that build_ball rejects
+            ("rank=0 max_total_length=6 max_depth=2", "rank must be >= 1, got 0"),
+            ("rank=2 max_total_length=0 max_depth=2", "max_total_length must be >= 1"),
+            (
+                "rank=2 max_total_length=1 max_depth=2",
+                "max_total_length 1 is below the trivial presentation's total "
+                "length 2$",
+            ),
+            ("rank=2 max_total_length=6 max_depth=0", "max_depth must be >= 1$"),
         ],
     )
     def test_rejects_malformed_header(self, tmp_path, header, message):
@@ -498,8 +571,9 @@ class TestPersistence:
             ("<a,b|a,b>\tnear", "distance 'near' is not an integer"),
             ("<a,b|a>\t0", "unbalanced"),
             ("<a,b,c|a,b,c>\t1", "3 relators in a rank 2 file"),
+            ("<a,b|a,b>\t-3", "distance -3 is negative"),
         ],
-        ids=["fields", "distance", "presentation", "rank"],
+        ids=["fields", "distance", "presentation", "rank", "negative-distance"],
     )
     def test_training_rejects_malformed_line(self, tmp_path, line, message):
         path = tmp_path / "train.tsv"
@@ -539,7 +613,7 @@ class TestPersistence:
     def test_loads_other_spellings(self, tmp_path, text):
         # line 9 holds <a,b|ab,ab^2>, spelled another way
         path = corrupted_ball(tmp_path, 0, text)
-        assert load_ball(path).members == build_ball(2, 6, 2).members
+        assert list(load_ball(path).records()) == list(build_ball(2, 6, 2).records())
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -572,7 +646,7 @@ class TestSaveAgainstReference:
 
         monkeypatch.setattr(notation, "format_move", counting)
         save_ball(built, str(tmp_path / "built.tsv"))
-        moves = {move for _, _, move in built.members.values()} - {None}
+        moves = {move for _, _, _, move in built.records()} - {None}
         assert sorted(spelled) == sorted(moves)
 
 
@@ -586,7 +660,7 @@ class TestLoadAgainstReference:
         save_ball(build_ball(*limits), path)
         replayed = load_ball(path)
         parsed = reference_ball.load_ball(path)
-        assert list(replayed.members.items()) == list(parsed.members.items())
+        assert list(replayed.records()) == list(parsed.records())
 
     @pytest.mark.parametrize(
         "field, value, message", BAD_PARENT_LINKS + MALFORMED_LINES

@@ -272,9 +272,10 @@ class TestInputErrors:
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """Rank-2 and rank-3 balls, a rank-2 training set, rank-2 and rank-3
-    metric files and ensemble models, an empty certificate and a file that
-    is not UTF-8."""
+    """Rank-2 and rank-3 balls, a ball file whose header declares depth 0,
+    a rank-2 training set, rank-2 and rank-3 metric files and ensemble
+    models, a metrics file with no metrics, an empty certificate and a file
+    that is not UTF-8."""
     root = tmp_path_factory.mktemp("inputs")
     assert main(["ball", "--max-total-length", "6", "--max-depth", "3",
                  "--out", str(root / "ball.tsv")]) == 0
@@ -282,6 +283,10 @@ def inputs(tmp_path_factory):
                  "--out", str(root / "train.tsv")]) == 0
     assert main(["ball", "--rank", "3", "--max-total-length", "4",
                  "--max-depth", "1", "--out", str(root / "ball3.tsv")]) == 0
+    (root / "ball-depth0.tsv").write_text(
+        "# actriv-ball rank=2 max_total_length=6 max_depth=0\n<a,b|a,b>\t0\t-1\t-\n"
+    )
+    (root / "metrics0.txt").write_text("# actriv-metrics rank=2\n")
     (root / "metrics2.txt").write_text("# actriv-metrics rank=2\nconj:0:b\n")
     (root / "metrics3.txt").write_text("# actriv-metrics rank=3\nconj:0:c\n")
     (root / "model2.txt").write_text(
@@ -344,6 +349,12 @@ class TestInputBoundary:
             (["fit", "--metrics", "{d}/metrics2.txt", "--train", "{d}/train.tsv",
               "--mode", "multi", "--cap", "1", "--out", "{d}/x.txt"],
              "none of the 1 metrics varies over the training set"),
+            (["fit", "--metrics", "{d}/metrics0.txt", "--train", "{d}/train.tsv",
+              "--out", "{d}/x.txt"],
+             "{d}/metrics0.txt: no metrics"),
+            (["solve", "--instance", "T1", "--ball", "{d}/ball-depth0.tsv",
+              "--model", "{d}/model2.txt", "--out", "{d}/x.jsonl"],
+             "{d}/ball-depth0.tsv: max_depth must be >= 1"),
             (["solve", "--instance", "T1", "--ball", "{d}/ball.tsv",
               "--model", "{d}/model3.txt", "--out", "{d}/x.jsonl"],
              "a rank 3 model cannot drive a rank 2 instance"),
@@ -373,7 +384,8 @@ class TestInputBoundary:
         ids=["unknown-instance", "bad-instance-text", "ball-limits", "ball-members",
              "sample-count", "learn-runs", "learn-population", "learn-generations",
              "fit-objectives", "fit-rank", "fit-cap", "fit-multi-cap",
-             "fit-constant", "fit-multi-constant", "solve-rank", "solve-ball-rank",
+             "fit-constant", "fit-multi-constant", "fit-no-metrics",
+             "solve-ball-header", "solve-rank", "solve-ball-rank",
              "solve-relator-cap", "solve-instance-over-cap",
              "verify-ball-rank", "out-directory", "not-utf8"],
     )

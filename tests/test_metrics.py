@@ -431,8 +431,9 @@ class TestPersistence:
         [
             ("# actriv-metrics runs=2\n", "metrics.txt: header has no 'rank'"),
             ("# actriv-metrics rank=2\ninv:0\n\nmul:0:7\n", "metrics.txt:4: bad move"),
+            ("# actriv-metrics rank=2 runs=0\n\n", "metrics.txt: no metrics"),
         ],
-        ids=["rank", "sequence"],
+        ids=["rank", "sequence", "empty"],
     )
     def test_rejects_malformed_file(self, tmp_path, text, message):
         path = tmp_path / "metrics.txt"

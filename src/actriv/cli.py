@@ -184,6 +184,7 @@ def _cmd_learn(args) -> int:
             "runs": "--runs",
             "population_size": "--population",
             "generations": "--generations",
+            "workers": "--workers",
         },
     )
     metrics_mod.save_metric_set(metric_set, args.out)
@@ -243,7 +244,7 @@ def _cmd_solve(args) -> int:
         lambda: solver_mod.run_campaign(
             instance, model, built, cfg, args.seed, instance_id, args.workers
         ),
-        origin,
+        {**origin, "workers": "--workers"},
     )
     solver_mod.write_results_jsonl(results, instance.rank, args.out)
     if args.summary:

@@ -65,6 +65,10 @@ class GaConfig:
     relator_length_cap: int = 200
 
     def validate(self) -> None:
+        for name in ("p_insert", "p_replace", "p_delete"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
         if abs(self.p_insert + self.p_replace + self.p_delete - 1.0) > 1e-9:
             raise ValueError("p_insert + p_replace + p_delete must sum to 1")
         if not self.min_length <= self.initial_length <= self.max_length:
@@ -123,13 +127,15 @@ def restart_seeds(master_seed: int, count: int) -> list[int]:
 def map_seeds(run, seeds: list[int], workers: int) -> list:
     """``[run(seed) for seed in seeds]`` on a pool of ``min(workers,
     len(seeds))`` processes, in seed order; in this process when that is
-    at most one.
+    at most one.  ``workers`` must be at least one.
 
     ``run`` binds the state every run shares, such as a ``partial`` over
     the ball and model.  Each worker receives it once, through the pool
     initializer: a forked worker inherits it without pickling, a spawned
     one unpickles it once.  A task carries only its seed.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     size = min(workers, len(seeds))
     if size <= 1:
         return [run(seed) for seed in seeds]

@@ -6,19 +6,26 @@ trivialization ball; the reported trivialization length is the shortest
 such prefix.  Candidates outside the 8..70 length band, or whose trace
 reaches total relator length 200, are penalized with the worst possible
 fitness and can never win a tournament against an unpenalized candidate.
-Mutants share most of their trace with their parents, so a run keeps one
-memo from relator tuple to ball membership: a state is canonicalized the
-first time the run reaches it, inside the ball's length cap, and looked up
-after that.
+
+Mutants share most of their trace with their parents, and many of them
+end where an earlier candidate ended, so a run keeps two memos keyed by
+the exact relator tuple: ball membership of each state a trace reaches
+inside the ball's length cap, and the model's value of each final state.
+Each is a ``WindowMemo``: it keeps the entries the search read in the last
+``MEMO_WINDOW`` to ``2 * MEMO_WINDOW`` generations, so a run of any length
+holds only what its recent generations reached.  A state is canonicalized,
+and a final state scored, once while the search keeps reaching it.
 
 Selection is tournament-of-7 on the ensemble scalar (single-objective
 mode) or on Pareto rank with crowding-distance tie-break over the trimmed
-objectives (multi-objective mode, NSGA-II style).  The Pareto ranks come
-from a numpy boolean dominance matrix, so the sort needs O(n²) memory:
-about 1 MB per n x n matrix at population 1000.  Replacement is plain
-generational; the best-so-far candidate is tracked outside the population
-for reporting only.  The GA loop itself is ``metrics.evolve``, the engine
-metric learning runs too; ``run_search`` owns the stopping rule.
+objectives (multi-objective mode, NSGA-II style).  Equal objective
+vectors share their Pareto rank, so the ranks come from a numpy boolean
+dominance matrix over the m distinct vectors of a generation: the sort
+needs O(m²) memory, at most about 1 MB at population 1000.  Replacement is
+plain generational; the best-so-far candidate is tracked outside the
+population for reporting only.  The GA loop itself is ``metrics.evolve``,
+the engine metric learning runs too; ``run_search`` owns the stopping
+rule.
 
 A campaign on several workers sends the instance, model and ball to each
 worker process once, through the pool initializer (``metrics.map_seeds``);
@@ -53,6 +60,9 @@ from .presentations import (
 from .variation import mutate
 
 WORST_SCALAR = math.inf
+# generations in each block of a WindowMemo; a run's memos hold the states
+# read in the last one to two blocks
+MEMO_WINDOW = 10
 
 
 @dataclass
@@ -69,6 +79,10 @@ class SolverConfig(GaConfig):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.max_generations < 0:
+            raise ValueError("max_generations must be >= 0")
+        if not self.time_budget_s >= 0:
+            raise ValueError("time_budget_s must be >= 0")
 
 
 @dataclass
@@ -93,7 +107,42 @@ class RunResult:
     trajectory: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _in_ball(rels, members, known: dict) -> bool:
+class WindowMemo:
+    """A per-run memo that forgets what the search no longer reaches.
+
+    ``current`` holds the entries written or read in the present block of
+    ``MEMO_WINDOW`` generations, ``previous`` those of the block before;
+    a read that finds its key only in ``previous`` copies it into
+    ``current``.  ``end_generation`` drops ``previous`` after every
+    ``MEMO_WINDOW`` generations.  So an entry read again within
+    ``MEMO_WINDOW`` generations is kept, and one not read for more than
+    ``2 * MEMO_WINDOW`` generations is gone.  ``get`` and item assignment
+    are a dict's, so a plain dict serves where no bound is needed.
+    """
+
+    def __init__(self) -> None:
+        self.current: dict = {}
+        self.previous: dict = {}
+        self.generations = 0
+
+    def get(self, key):
+        value = self.current.get(key)
+        if value is None:
+            value = self.previous.get(key)
+            if value is not None:
+                self.current[key] = value
+        return value
+
+    def __setitem__(self, key, value) -> None:
+        self.current[key] = value
+
+    def end_generation(self) -> None:
+        self.generations += 1
+        if self.generations % MEMO_WINDOW == 0:
+            self.previous, self.current = self.current, {}
+
+
+def _in_ball(rels, members, known) -> bool:
     """Ball membership of the relators ``rels``, memoized in ``known``."""
     state = tuple(rels)
     hit = known.get(state)
@@ -108,12 +157,17 @@ def evaluate_candidate(
     model,
     ball: Ball,
     cfg: SolverConfig,
-    known: dict | None = None,
+    known: dict | WindowMemo | None = None,
+    scored: dict | WindowMemo | None = None,
 ) -> Evaluation:
     """Penalties, success detection, then fitness at the final presentation.
 
-    ``known`` memoizes ball membership by relator tuple; one dict may serve
-    every candidate checked against the same ball.
+    ``known`` memoizes ball membership by relator tuple; one memo may serve
+    every candidate checked against the same ball.  ``scored`` memoizes the
+    model's value by the final relator tuple, not by its class, because a
+    metric's value depends on how the relators are spelled: the scalar in
+    single mode, the objective tuple in multi mode.  One ``scored`` memo
+    serves one model and one ``relator_length_cap``.
     """
     if len(s) < cfg.min_length:
         return Evaluation("penalized", "too_short")
@@ -121,6 +175,8 @@ def evaluate_candidate(
         return Evaluation("penalized", "too_long")
     if known is None:
         known = {}
+    if scored is None:
+        scored = {}
     ball_cap = ball.max_total_length
     members = ball.members
     length_cap = cfg.relator_length_cap
@@ -136,18 +192,28 @@ def evaluate_candidate(
             return Evaluation("success", prefix_length=step)
         if total >= length_cap:
             return Evaluation("penalized", "relator_cap")
-    final = Presentation(instance.rank, tuple(rels))
+    final = tuple(rels)
+    value = scored.get(final)
+    if value is None:
+        p = Presentation(instance.rank, final)
+        if cfg.mode == "single":
+            value = model.value(p, length_cap)
+        else:
+            value = objective_values(model, p, length_cap)
+        scored[final] = value
     if cfg.mode == "single":
-        return Evaluation("ok", scalar=model.value(final, length_cap))
-    return Evaluation("ok", objectives=objective_values(model, final, length_cap))
+        return Evaluation("ok", scalar=value)
+    return Evaluation("ok", objectives=value)
 
 
 def nondominated_sort(points) -> list[int]:
     """Pareto rank (0 = non-dominated front) of each point, minimization.
 
     x dominates y iff x <= y in every coordinate and x < y in at least one.
-    The ranks come from an n x n boolean dominance matrix, built one
-    objective at a time, whose fronts are peeled by dominator counts.
+    Equal points dominate each other nowhere and are dominated by the same
+    points, so they share a rank: the ranks come from an m x m boolean
+    dominance matrix over the m distinct points, built one objective at a
+    time, whose fronts are peeled by dominator counts.
     """
     n = len(points)
     if n == 0:
@@ -155,16 +221,18 @@ def nondominated_sort(points) -> list[int]:
     dim = len(points[0])
     if any(len(p) != dim for p in points):
         raise ValueError("objective vectors have mismatched dimensions")
-    values = np.asarray(points)
+    distinct: dict[tuple, int] = {}
+    slots = [distinct.setdefault(tuple(p), len(distinct)) for p in points]
+    values = np.asarray(list(distinct))
+    m = len(distinct)
     # dom[a, b]: a dominates b, i.e. a <= b everywhere and a < b somewhere
-    dom = np.ones((n, n), dtype=bool)
-    strict = np.zeros((n, n), dtype=bool)
+    dom = np.ones((m, m), dtype=bool)
     for col in values.T:
         dom &= col[:, None] <= col[None, :]
-        strict |= col[:, None] < col[None, :]
-    dom &= strict
+    # two distinct points that are <= everywhere differ, so are < somewhere
+    np.fill_diagonal(dom, False)
     counts = dom.sum(axis=0)
-    ranks = np.empty(n, dtype=np.intp)
+    ranks = np.empty(m, dtype=np.intp)
     front = np.flatnonzero(counts == 0)
     rank = 0
     while front.size:
@@ -174,7 +242,7 @@ def nondominated_sort(points) -> list[int]:
         counts[front] = -1
         front = np.flatnonzero(counts == 0)
         rank += 1
-    return ranks.tolist()
+    return ranks[slots].tolist()
 
 
 def crowding_distance(front) -> list[float]:
@@ -273,15 +341,22 @@ def run_search(
             trajectory=trajectory,
         )
 
-    known: dict = {}  # ball membership by relator tuple, for this run
+    known, scored = WindowMemo(), WindowMemo()
+
+    def evaluate(population: list[MoveSequence]) -> list[Evaluation]:
+        evals = [
+            evaluate_candidate(d, instance, model, ball, cfg, known, scored)
+            for d in population
+        ]
+        known.end_generation()
+        scored.end_generation()
+        return evals
+
     generations = evolve(
         instance.rank,
         cfg,
         random.Random(seed),
-        lambda population: [
-            evaluate_candidate(d, instance, model, ball, cfg, known)
-            for d in population
-        ],
+        evaluate,
         lambda evals: _selection_keys(evals, cfg.mode),
     )
     for generation, (population, evals) in enumerate(generations):
@@ -323,6 +398,8 @@ def run_campaign(
     solved run.
     """
     cfg.validate()
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     seeds = restart_seeds(master_seed, cfg.restarts)
     if not cfg.stop_on_first_solve:
         search = partial(

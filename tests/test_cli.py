@@ -370,6 +370,25 @@ class TestInputBoundary:
               "--out", "{d}/x.jsonl"],
              "--relator-length-cap: relator_length_cap 10 is not above the "
              "instance's total relator length 10"),
+            (["solve", "--instance", "AK3", "--ball", "{d}/ball.tsv",
+              "--model", "{d}/model2.txt", "--max-generations", "-3",
+              "--out", "{d}/x.jsonl"],
+             "--max-generations: max_generations must be >= 0"),
+            (["solve", "--instance", "AK3", "--ball", "{d}/ball.tsv",
+              "--model", "{d}/model2.txt", "--time-budget-s", "-5",
+              "--out", "{d}/x.jsonl"],
+             "--time-budget-s: time_budget_s must be >= 0"),
+            (["solve", "--instance", "AK3", "--ball", "{d}/ball.tsv",
+              "--model", "{d}/model2.txt", "--p-insert", "-0.5",
+              "--p-replace", "1.5", "--p-delete", "0", "--out", "{d}/x.jsonl"],
+             "--p-insert: p_insert must be in [0, 1], got -0.5"),
+            (["solve", "--instance", "AK3", "--ball", "{d}/ball.tsv",
+              "--model", "{d}/model2.txt", "--workers", "-2",
+              "--out", "{d}/x.jsonl"],
+             "--workers: workers must be >= 1"),
+            (["learn", "--train", "{d}/train.tsv", "--workers", "0",
+              "--out", "{d}/x.txt"],
+             "--workers: workers must be >= 1"),
             (["verify", "--instance", "T1", "--ball", "{d}/ball3.tsv",
               "--sequence", "{d}/t1.moves"],
              "a rank 3 ball cannot check a rank 2 instance"),
@@ -387,7 +406,9 @@ class TestInputBoundary:
              "fit-constant", "fit-multi-constant", "fit-no-metrics",
              "solve-ball-header", "solve-rank", "solve-ball-rank",
              "solve-relator-cap", "solve-instance-over-cap",
-             "verify-ball-rank", "out-directory", "not-utf8"],
+             "solve-max-generations", "solve-time-budget", "solve-probability",
+             "solve-workers", "learn-workers", "verify-ball-rank", "out-directory",
+             "not-utf8"],
     )
     def test_one_line(self, inputs, argv, message):
         code, out, err = run_fresh([arg.format(d=inputs) for arg in argv])

@@ -413,6 +413,11 @@ class TestMapSeeds:
         ran = metrics.map_seeds(lambda seed: (seed, os.getpid()), seeds, workers)
         assert ran == [(seed, pid) for seed in seeds]
 
+    @pytest.mark.parametrize("seeds, workers", [([1, 2], 0), ([], -2)])
+    def test_rejects_fewer_than_one_worker(self, seeds, workers):
+        with pytest.raises(ValueError, match="^workers must be >= 1$"):
+            metrics.map_seeds(lambda seed: seed, seeds, workers)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path, small_training):

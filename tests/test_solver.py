@@ -30,7 +30,9 @@ from actriv.presentations import (
     trivial_presentation,
 )
 from actriv.solver import (
+    MEMO_WINDOW,
     SolverConfig,
+    WindowMemo,
     crowding_distance,
     evaluate_candidate,
     mutate,
@@ -80,6 +82,31 @@ def objective_model(small_ball):
         ],
     )
     return trim_objectives(metric_set, training, k=3)
+
+
+@pytest.fixture(scope="module")
+def rank3_setting():
+    """A rank-3 ball, an instance outside it, and a model of each mode."""
+    ball = build_ball(3, 8, 3)
+    instance = trivial_presentation(3)
+    for m in [multiply_move(0, 1), multiply_move(0, 2), multiply_move(1, 0),
+              conjugate_move(2, 1), conjugate_move(0, -3)]:
+        instance = apply_move(instance, m)
+    assert instance not in ball
+    training = sample_cases(ball, 40, rng_seed=2)
+    metric_set = MetricSet(
+        3,
+        [
+            (),
+            (multiply_move(0, 1), invert_move(2)),
+            (conjugate_move(2, 3), multiply_move(1, 2)),
+        ],
+    )
+    models = {
+        "single": ScalarEnsemble(fit_weights(metric_set, training), metric_set),
+        "multi": trim_objectives(metric_set, training, k=2),
+    }
+    return ball, instance, models
 
 
 def tiny_config(**overrides):
@@ -191,6 +218,23 @@ class TestNondominatedSortAgainstReference:
     @settings(deadline=None)
     @given(point_sets)
     def test_matches_reference(self, points):
+        ranks = nondominated_sort(points)
+        assert ranks == reference_nondominated_sort(points)
+        assert all(type(r) is int for r in ranks)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda dim: st.lists(st.tuples(*[GRID] * dim), min_size=1, max_size=6)
+        ),
+        st.lists(st.tuples(st.integers(0, 5), st.booleans()), max_size=300),
+    )
+    def test_matches_reference_with_duplicates(self, pool, picks):
+        """Points drawn from a pool of at most six, as tuples or lists."""
+        points = [
+            list(pool[i % len(pool)]) if as_list else pool[i % len(pool)]
+            for i, as_list in picks
+        ]
         ranks = nondominated_sort(points)
         assert ranks == reference_nondominated_sort(points)
         assert all(type(r) is int for r in ranks)
@@ -409,6 +453,185 @@ class TestEvaluateCandidate:
         assert len(out.objectives) == len(objective_model)
 
 
+def counting_calls(monkeypatch):
+    """Count ball-membership canonicalizations and model calls made through
+    ``actriv.solver``."""
+    calls = {"canonical": 0, "model": 0}
+
+    def wrap(fn, key):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(
+        solver, "canonical_relators", wrap(canonical_relators, "canonical")
+    )
+    monkeypatch.setattr(ScalarEnsemble, "value", wrap(ScalarEnsemble.value, "model"))
+    monkeypatch.setattr(
+        solver, "objective_values", wrap(solver.objective_values, "model")
+    )
+    return calls
+
+
+class TestWindowMemo:
+    @pytest.mark.parametrize("written", range(MEMO_WINDOW))
+    def test_keeps_a_window_and_drops_two(self, written):
+        """An entry last touched ``gap`` generations ago is kept while
+        ``gap <= MEMO_WINDOW`` and gone once ``gap > 2 * MEMO_WINDOW``,
+        whichever generation of a block it was written in."""
+        for gap in range(1, 3 * MEMO_WINDOW):
+            memo = WindowMemo()
+            for _ in range(written):
+                memo.end_generation()
+            memo["state"] = 1.5
+            for _ in range(gap):
+                memo.end_generation()
+            if gap <= MEMO_WINDOW:
+                assert memo.get("state") == 1.5
+            elif gap > 2 * MEMO_WINDOW:
+                assert memo.get("state") is None
+
+    def test_a_read_keeps_an_entry(self):
+        """Read every generation, an entry outlives any number of
+        rotations; a ``False`` one, as the membership memo holds, too."""
+        memo = WindowMemo()
+        memo["state"] = False
+        for _ in range(5 * MEMO_WINDOW):
+            assert memo.get("state") is False
+            memo.end_generation()
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_checked_and_scored_once_within_the_window(
+        self, mode, small_ball, scalar_model, objective_model, monkeypatch
+    ):
+        model = scalar_model if mode == "single" else objective_model
+        cfg = tiny_config(mode=mode)
+        calls = counting_calls(monkeypatch)
+        # a candidate whose trace has an in-cap state outside the ball
+        rng = random.Random(31)
+        starts = [get_instance(name).presentation for name in ("T1", "T13")]
+        for _ in range(1000):
+            instance = rng.choice(starts)
+            s = random_sequence(2, rng.randrange(8, 30), rng)
+            calls.update(canonical=0, model=0)
+            out = evaluate_candidate(s, instance, model, small_ball, cfg)
+            if out.status == "ok" and calls["canonical"]:
+                break
+        else:
+            pytest.fail("no candidate reaches an in-cap state and ends ok")
+        first = dict(calls)
+        known, scored = WindowMemo(), WindowMemo()
+
+        def generation(read: bool) -> None:
+            if read:
+                got = evaluate_candidate(
+                    s, instance, model, small_ball, cfg, known, scored
+                )
+                assert got == out
+            known.end_generation()
+            scored.end_generation()
+
+        generation(read=True)
+        assert calls == {key: 2 * n for key, n in first.items()}
+        # seen again a window later, then every generation for three more
+        for _ in range(MEMO_WINDOW - 1):
+            generation(read=False)
+        for _ in range(3 * MEMO_WINDOW + 1):
+            generation(read=True)
+        assert calls == {key: 2 * n for key, n in first.items()}
+        # not seen for more than two windows: checked and scored again
+        for _ in range(2 * MEMO_WINDOW + 1):
+            generation(read=False)
+        generation(read=True)
+        assert calls == {key: 3 * n for key, n in first.items()}
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_keys_the_spelling_not_the_class(self, mode, small_ball):
+        """Two final states of one class, spelled differently, score
+        differently; each keeps its own score."""
+        metric = (multiply_move(0, 1),)
+        if mode == "single":
+            model = ScalarEnsemble(EnsembleWeights([1.0], 0.0), MetricSet(2, [metric]))
+        else:
+            model = ObjectiveSet(2, [metric])
+        ak3 = get_instance("AK3").presentation
+        swapped = Presentation(2, ak3.relators[::-1])
+        assert canonical_relators(swapped.relators) == canonical_relators(ak3.relators)
+        # an even number of inversions ends where it starts
+        s = (invert_move(0),) * 8
+        cfg = tiny_config(mode=mode)
+        fresh = [
+            evaluate_candidate(s, p, model, small_ball, cfg) for p in (ak3, swapped)
+        ]
+        assert fresh[0].status == "ok"
+        assert fresh[0] != fresh[1]
+        known, scored = WindowMemo(), WindowMemo()
+        shared = [
+            evaluate_candidate(s, p, model, small_ball, cfg, known, scored)
+            for p in (ak3, swapped, ak3, swapped)
+        ]
+        assert shared == fresh * 2
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    @settings(deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), per_generation=st.integers(1, 40))
+    def test_shared_memo_matches_fresh_calls(
+        self,
+        rank,
+        mode,
+        seed,
+        per_generation,
+        small_ball,
+        scalar_model,
+        objective_model,
+        rank3_setting,
+    ):
+        """Fresh candidates, repeats and mutants of earlier ones, shuffled:
+        through one pair of memos, rotated every ``per_generation``
+        candidates, each gives what a call with no memo gives."""
+        rng = random.Random(seed)
+        if rank == 2:
+            ball = small_ball
+            model = scalar_model if mode == "single" else objective_model
+            starts = [get_instance(name).presentation for name in ("T1", "T13", "AK3")]
+
+            def fresh():
+                if rng.random() < 0.5:
+                    return near_ball_case(ball, rng)
+                return rng.choice(starts), random_sequence(2, rng.randrange(6, 74), rng)
+
+        else:
+            ball, instance, models = rank3_setting
+            model = models[mode]
+
+            def fresh():
+                return instance, random_sequence(3, rng.randrange(6, 74), rng)
+
+        cases = []
+        for _ in range(120):
+            roll = rng.random()
+            if cases and roll < 0.3:
+                cases.append(rng.choice(cases))
+            elif cases and roll < 0.6:
+                instance, s = rng.choice(cases)
+                cases.append((instance, mutate(s, rank, rng)))
+            else:
+                cases.append(fresh())
+        rng.shuffle(cases)
+        # one memo pair serves one relator length cap
+        cfg = tiny_config(mode=mode, relator_length_cap=rng.choice([40, 200]))
+        known, scored = WindowMemo(), WindowMemo()
+        for count, (instance, s) in enumerate(cases, start=1):
+            out = evaluate_candidate(s, instance, model, ball, cfg, known, scored)
+            assert out == evaluate_candidate(s, instance, model, ball, cfg)
+            if count % per_generation == 0:
+                known.end_generation()
+                scored.end_generation()
+
+
 class TestPenaltySelection:
     def make_evals(self, mode, small_ball, model):
         cfg = tiny_config(mode=mode, relator_length_cap=60)
@@ -441,6 +664,22 @@ class TestPenaltySelection:
             winner = min(contenders, key=lambda idx: keys[idx])
             if any(evals[idx].status == "ok" for idx in contenders):
                 assert evals[winner].status == "ok"
+
+
+def traced_search(monkeypatch, module, search, instance, model, ball, cfg, seed, name):
+    """The record, the evaluated candidates in order and the trajectory of
+    ``search``, collecting candidates where ``module`` looks up
+    ``evaluate_candidate``."""
+    seen = []
+
+    def collecting(s, *args):
+        seen.append(s)
+        return evaluate_candidate(s, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "evaluate_candidate", collecting)
+        out = search(instance, model, ball, cfg, seed, name)
+    return result_record(out, instance.rank), seen, out.trajectory
 
 
 class TestRunSearch:
@@ -565,24 +804,31 @@ class TestRunSearch:
         cfg = tiny_config(
             mode=mode, population_size=population, max_generations=12
         )
-
-        def traced_run(module, search):
-            seen = []
-
-            def collecting(s, *args):
-                seen.append(s)
-                return evaluate_candidate(s, *args)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(module, "evaluate_candidate", collecting)
-                out = search(instance, model, small_ball, cfg, seed, name)
-            return result_record(out, instance.rank), seen, out.trajectory
-
-        shipped = traced_run(solver, run_search)
+        run = (instance, model, small_ball, cfg, seed, name)
+        shipped = traced_search(monkeypatch, solver, run_search, *run)
         assert shipped[0]["outcome"] == outcome
         assert shipped[0]["generations"] > 0
         assert len(shipped[1]) == shipped[0]["evaluations"]
-        assert traced_run(reference_ga, reference_ga.reference_run_search) == shipped
+        reference = reference_ga.reference_run_search
+        assert traced_search(monkeypatch, reference_ga, reference, *run) == shipped
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_same_as_reference_loop_across_memo_windows(
+        self, mode, small_ball, scalar_model, objective_model, monkeypatch
+    ):
+        """Past two rotations of the run's memos, the engine still gives
+        the reference loop's record, trajectory and evaluated candidates."""
+        ak3 = get_instance("AK3").presentation
+        model = scalar_model if mode == "single" else objective_model
+        cfg = tiny_config(
+            mode=mode, population_size=40, max_generations=2 * MEMO_WINDOW + 5
+        )
+        run = (ak3, model, small_ball, cfg, 6, "AK3")
+        shipped = traced_search(monkeypatch, solver, run_search, *run)
+        assert shipped[0]["outcome"] == "exhausted"
+        assert shipped[0]["generations"] > 2 * MEMO_WINDOW
+        reference = reference_ga.reference_run_search
+        assert traced_search(monkeypatch, reference_ga, reference, *run) == shipped
 
     def test_model_mode_mismatch(self, small_ball, scalar_model, objective_model):
         cfg = tiny_config(mode="multi")
@@ -664,35 +910,12 @@ class TestRunSearch:
 class TestRank3:
     """Search and verification beyond the rank-2 instances of the catalog."""
 
-    @pytest.fixture(scope="class")
-    def setting(self):
-        ball = build_ball(3, 8, 3)
-        instance = trivial_presentation(3)
-        for m in [multiply_move(0, 1), multiply_move(0, 2), multiply_move(1, 0),
-                  conjugate_move(2, 1), conjugate_move(0, -3)]:
-            instance = apply_move(instance, m)
-        assert instance not in ball
-        training = sample_cases(ball, 40, rng_seed=2)
-        metric_set = MetricSet(
-            3,
-            [
-                (),
-                (multiply_move(0, 1), invert_move(2)),
-                (conjugate_move(2, 3), multiply_move(1, 2)),
-            ],
-        )
-        models = {
-            "single": ScalarEnsemble(fit_weights(metric_set, training), metric_set),
-            "multi": trim_objectives(metric_set, training, k=2),
-        }
-        return ball, instance, models
-
     @pytest.mark.parametrize("mode", ["single", "multi"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_solves_and_verifies(self, setting, mode, seed):
+    def test_solves_and_verifies(self, rank3_setting, mode, seed):
         from actriv.proof import verify
 
-        ball, instance, models = setting
+        ball, instance, models = rank3_setting
         cfg = tiny_config(mode=mode, max_generations=30)
         out = run_search(instance, models[mode], ball, cfg, seed=seed)
         assert out.outcome == "solved"
@@ -741,6 +964,15 @@ class TestCampaign:
         results = run_campaign(member, scalar_model, small_ball, cfg, 6)
         assert len(results) == 1
         assert results[0].outcome == "solved"
+
+    @pytest.mark.parametrize("stop_on_first_solve", [False, True])
+    def test_rejects_fewer_than_one_worker(
+        self, stop_on_first_solve, small_ball, scalar_model
+    ):
+        cfg = tiny_config(stop_on_first_solve=stop_on_first_solve)
+        ak3 = get_instance("AK3").presentation
+        with pytest.raises(ValueError, match="^workers must be >= 1$"):
+            run_campaign(ak3, scalar_model, small_ball, cfg, 6, workers=0)
 
     def test_stop_on_first_solve_with_workers(self, small_ball, scalar_model):
         member = Presentation(2, next(iter(small_ball.members)))
@@ -826,6 +1058,34 @@ class TestConfigValidation:
     def test_relator_length_cap(self):
         with pytest.raises(ValueError, match="^relator_length_cap must be >= 1$"):
             SolverConfig(relator_length_cap=0).validate()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_generations", -3, "^max_generations must be >= 0$"),
+            ("time_budget_s", -5.0, "^time_budget_s must be >= 0$"),
+            ("time_budget_s", math.nan, "^time_budget_s must be >= 0$"),
+        ],
+    )
+    def test_stopping_rule(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**{field: value}).validate()
+        SolverConfig(**{field: 0}).validate()
+
+    @pytest.mark.parametrize(
+        "probabilities, message",
+        [
+            ((-0.5, 1.5, 0.0), r"^p_insert must be in \[0, 1\], got -0.5$"),
+            ((0.0, 1.5, -0.5), r"^p_replace must be in \[0, 1\], got 1.5$"),
+            ((0.5, 0.6, -0.1), r"^p_delete must be in \[0, 1\], got -0.1$"),
+        ],
+    )
+    def test_each_probability_in_unit_interval(self, probabilities, message):
+        p_insert, p_replace, p_delete = probabilities
+        cfg = SolverConfig(p_insert=p_insert, p_replace=p_replace, p_delete=p_delete)
+        with pytest.raises(ValueError, match=message):
+            cfg.validate()
+        SolverConfig(p_insert=0.0, p_replace=1.0, p_delete=0.0).validate()
 
     def test_defaults_match_published_setup(self):
         cfg = SolverConfig()

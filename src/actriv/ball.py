@@ -5,8 +5,12 @@ are applied to its canonical representative; children are deduplicated by
 canonical form, so depths are exact shortest-path lengths in that class
 graph and independent of traversal order.  A child whose total relator
 length exceeds ``max_total_length`` is discarded; one that reaches it
-exactly is recorded but never expanded.  ``load_ball`` rebuilds every
-member from its parent and move with the same BFS step, ``_child``.
+exactly is recorded but never expanded.  An inversion, and a conjugation
+that cancels exactly one end letter, keep a canonical relator's class.
+``_child`` reads that, and the length change of every conjugation, off
+the relator's end letters, so neither such a move nor a conjugation past
+the cap builds a word.  ``load_ball`` rebuilds every member from its
+parent and move with the same BFS step, ``_child``.
 A build or a load canonicalizes each distinct relator once, and its keys
 share one interned tuple per canonical word; ``save_ball`` and
 ``load_ball`` spell each distinct relator once.
@@ -168,16 +172,38 @@ def _child(
     """The BFS step: the key of the class ``move`` takes ``key`` to, and the
     change in total relator length.  The key is None when that change
     exceeds ``room``, so a child past the length cap is never canonicalized.
+    ``key`` must be canonical, as every caller's is.
+
+    An inversion or a conjugation is answered from ``key`` alone, before
+    any word is built.  An inverted canonical relator has the same
+    canonical form, so the child is ``key``.  Conjugating ``w`` by ``x``
+    puts ``x`` before ``w`` and ``x^-1`` after it, and each cancels only
+    against the end letter it meets, so ``w[0]`` and ``w[-1]`` give the
+    change of -2, 0 or +2 (an empty relator stays empty).  A change of 0
+    cancels exactly one end, which rotates a cyclically reduced ``w``, so
+    the child is ``key`` again.  Only a multiplication, or a conjugation
+    that shortens or lengthens ``w`` within ``room``, builds the new word.
 
     Through the memo ``canon`` (see ``_root``) each distinct relator is
     canonicalized once, and keys share one tuple per canonical word.  The
     other relators of ``key`` are already in shortlex order, so the changed
     one is put in its place among them."""
+    kind, i, x = move
+    if kind != MULTIPLY:
+        w = key[i]
+        if kind == INVERT or not w:
+            delta = 0
+        else:
+            delta = 2 - 2 * ((w[0] == -x) + (w[-1] == x))
+        if delta > room:
+            return None, delta
+        if delta == 0:
+            return key, 0
     rels = list(key)
     delta = apply_to_relators(rels, move)
     if delta > room:
         return None, delta
-    w = rels.pop(move[1])
+    w = rels.pop(i)
     rep = canon.get(w)
     if rep is None:
         rep = canonical_rep(w)

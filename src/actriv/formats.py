@@ -11,6 +11,7 @@ write error is an ``OSError`` that names the target, not the temporary file.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from itertools import chain
@@ -69,6 +70,8 @@ def _parse_header(line: str, kind: str, path: str) -> Header:
         key, sep, value = part.partition("=")
         if not sep:
             raise ValueError(f"{path}: header field {part!r} is not key=value")
+        if key in fields:
+            raise ValueError(f"{path}: header key '{key}' is given twice")
         fields[key] = value
     return Header(path, fields)
 
@@ -133,10 +136,14 @@ def parse_int(text: str, what: str, where: str) -> int:
 
 
 def parse_float(text: str, what: str, where: str) -> float:
+    """A finite float; ``nan`` and the infinities are rejected."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"{where}: {what} {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: {what} {text!r} is not finite")
+    return value
 
 
 def _located(where: str, parse, *args):

@@ -13,6 +13,8 @@ sequence is whitespace-separated move codes; the empty sequence is ``-``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .presentations import (
     CONJUGATE,
     INVERT,
@@ -41,28 +43,50 @@ def generator_name(index: int, rank: int) -> str:
     return f"x{index}"
 
 
+@lru_cache(maxsize=None)
+def _letter_names(rank: int) -> dict[int, str]:
+    """Letter -> its name at ``rank``, for every letter of the rank; one
+    table per rank."""
+    names = {}
+    for g in range(1, rank + 1):
+        name = generator_name(g - 1, rank)
+        names[g] = name
+        names[-g] = name[0].upper() + name[1:]
+    return names
+
+
+def _out_of_range(letter: int, rank: int) -> ValueError:
+    return ValueError(f"letter {letter} out of range for rank {rank}")
+
+
 def format_letter(letter: int, rank: int) -> str:
-    name = generator_name(abs(letter) - 1, rank)
-    return name if letter > 0 else name[0].upper() + name[1:]
+    try:
+        return _letter_names(rank)[letter]
+    except KeyError:
+        raise _out_of_range(letter, rank) from None
 
 
 def format_word(w: Word, rank: int) -> str:
-    """Word with runs collapsed to exponents, e.g. (1,1,2,-1,-2) -> 'a^2bAB'."""
+    """Word with runs collapsed to exponents, e.g. (1,1,2,-1,-2) -> 'a^2bAB'.
+    Each letter is spelled from the rank's letter table, in one pass; a
+    letter outside the rank is a ValueError."""
     if not w:
         return "1"
-    parts = []
-    run_letter, run_len = w[0], 1
-    for x in w[1:]:
-        if x == run_letter:
-            run_len += 1
-        else:
-            parts.append((run_letter, run_len))
-            run_letter, run_len = x, 1
-    parts.append((run_letter, run_len))
+    names = _letter_names(rank)
     out = []
-    for letter, count in parts:
-        text = format_letter(letter, rank)
-        out.append(text if count == 1 else f"{text}^{count}")
+    run_letter, run_len = w[0], 0
+    try:
+        for x in w:
+            if x == run_letter:
+                run_len += 1
+            else:
+                name = names[run_letter]
+                out.append(name if run_len == 1 else f"{name}^{run_len}")
+                run_letter, run_len = x, 1
+        name = names[run_letter]
+    except KeyError as exc:
+        raise _out_of_range(exc.args[0], rank) from None
+    out.append(name if run_len == 1 else f"{name}^{run_len}")
     return "".join(out)
 
 

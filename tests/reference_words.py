@@ -1,7 +1,10 @@
 """The word kernel's order and canonical form before letter codes: a key
-per letter, built again for every rotation.  Differential tests compare
-``actriv.words`` against these."""
+per letter, built again for every rotation; and the word speller before
+its letter table, which names each run's letter afresh.  Differential
+tests compare ``actriv.words`` and ``actriv.notation.format_word`` against
+these."""
 
+from actriv.notation import generator_name
 from actriv.words import Word, invert_word, is_cyclically_reduced
 
 Letter = int
@@ -52,3 +55,28 @@ def canonical_rep(w: Word) -> Word:
                 best_key = key
                 best = rot
     return best
+
+
+def format_letter(letter: int, rank: int) -> str:
+    name = generator_name(abs(letter) - 1, rank)
+    return name if letter > 0 else name[0].upper() + name[1:]
+
+
+def format_word(w: Word, rank: int) -> str:
+    """Word with runs collapsed to exponents, e.g. (1,1,2,-1,-2) -> 'a^2bAB'."""
+    if not w:
+        return "1"
+    parts = []
+    run_letter, run_len = w[0], 1
+    for x in w[1:]:
+        if x == run_letter:
+            run_len += 1
+        else:
+            parts.append((run_letter, run_len))
+            run_letter, run_len = x, 1
+    parts.append((run_letter, run_len))
+    out = []
+    for letter, count in parts:
+        text = format_letter(letter, rank)
+        out.append(text if count == 1 else f"{text}^{count}")
+    return "".join(out)

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+import actriv.ball
 from actriv.ball import (
     Ball,
     BallCapacityError,
@@ -172,6 +174,57 @@ def assert_words_shared(ball):
     assert len({id(w) for w in words}) == len(set(words))
 
 
+# canonical keys of ranks 1-3 with empty, one-letter, cyclically reduced
+# and not cyclically reduced relators
+EDGE_KEYS = [
+    (1, [()]),
+    (1, [(1,)]),
+    (1, [(1, 1, 1)]),
+    (2, [(), ()]),
+    (2, [(), (-2,)]),
+    (2, [(1,), (2,)]),
+    (2, [(1, 2, -1), (2, 2)]),
+    (2, [(1, 1, -2, -1), (1, 2, 1, -2)]),
+    (3, [(), (3,), (1, -2, -1)]),
+    (3, [(1, 2, 3), (-3, -2, 3), (2, 1, -2, -1)]),
+]
+
+
+def assert_answers_from_the_key(key, rank):
+    """Against the reference, with ``apply_to_relators`` and
+    ``canonical_rep`` counted: an inversion, or a conjugation that keeps
+    the length, gives ``key`` itself and builds no word; a conjugation past
+    the room gives None and builds no word."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("apply_to_relators", "canonical_rep"):
+
+            def counted(*args, name=name, original=getattr(actriv.ball, name)):
+                calls.append(name)
+                return original(*args)
+
+            mp.setattr(actriv.ball, name, counted)
+        for move in enumerate_moves(rank):
+            raw = reference_apply(key, move)
+            delta = total(raw) - total(key)
+            for room in (delta - 2, delta - 1, delta, 10):
+                calls.clear()
+                child, change = _child(key, move, room, _root(rank)[1])
+                assert change == delta
+                if move[0] == MULTIPLY:
+                    assert child == (None if delta > room else canonical_relators(raw))
+                elif delta > room:
+                    assert child is None
+                    assert calls == []
+                elif delta == 0:
+                    assert canonical_relators(raw) == key
+                    assert child is key
+                    assert calls == []
+                else:
+                    assert child == canonical_relators(raw)
+                    assert calls.count("apply_to_relators") == 1
+
+
 class TestChild:
     @given(rank=st.sampled_from([2, 3]), data=st.data())
     def test_matches_reference(self, rank, data):
@@ -191,6 +244,14 @@ class TestChild:
         # every representative in the memo is interned: it maps to itself
         for rep in set(canon.values()):
             assert canon[rep] is rep
+
+    @pytest.mark.parametrize("rank, rels", EDGE_KEYS)
+    def test_answers_from_the_key(self, rank, rels):
+        assert_answers_from_the_key(canonical_relators(rels), rank)
+
+    @given(rank=st.sampled_from([1, 2, 3]), data=st.data())
+    def test_answers_random_keys_from_the_key(self, rank, data):
+        assert_answers_from_the_key(data.draw(random_keys(rank)), rank)
 
     @pytest.mark.parametrize("limits", [(2, 10, 5), (3, 7, 3)])
     def test_keys_share_equal_words(self, tmp_path, limits):
@@ -556,6 +617,10 @@ class TestPersistence:
                 "length 2$",
             ),
             ("rank=2 max_total_length=6 max_depth=0", "max_depth must be >= 1$"),
+            (
+                "rank=2 rank=3 max_total_length=6 max_depth=2",
+                "header key 'rank' is given twice$",
+            ),
         ],
     )
     def test_rejects_malformed_header(self, tmp_path, header, message):
@@ -585,6 +650,14 @@ class TestPersistence:
         path = tmp_path / "train.tsv"
         path.write_text("# actriv-training\n<a,b|a,b>\t0\n")
         with pytest.raises(ValueError, match="train.tsv: header has no 'rank'"):
+            load_training(str(path))
+
+    def test_training_rejects_repeated_header_key(self, tmp_path):
+        path = tmp_path / "train.tsv"
+        path.write_text("# actriv-training rank=2 rank=2\n<a,b|a,b>\t0\n")
+        with pytest.raises(
+            ValueError, match="train.tsv: header key 'rank' is given twice$"
+        ):
             load_training(str(path))
 
     def test_rejects_duplicate_member(self, tmp_path):
@@ -648,6 +721,31 @@ class TestSaveAgainstReference:
         save_ball(built, str(tmp_path / "built.tsv"))
         moves = {move for _, _, _, move in built.records()} - {None}
         assert sorted(spelled) == sorted(moves)
+
+
+class TestGoldenBallFiles:
+    """The sha256 of saved balls, as the build before ``_child`` answered
+    inversions and conjugations from the key wrote them.  Unlike the
+    reference BFS, which checks members and depths, these also pin every
+    parent index and move code."""
+
+    @pytest.mark.parametrize(
+        "limits, digest",
+        [
+            (
+                (2, 14, 6),
+                "5078606871adb59a39056f551cc4776f8d539c00b1607f03c5420fb92200c037",
+            ),
+            (
+                (3, 10, 4),
+                "c26329563d0e07f91f7d21a2f42a2b0ca968d671cc011679705af81d4d35aebd",
+            ),
+        ],
+    )
+    def test_same_bytes(self, tmp_path, limits, digest):
+        path = tmp_path / "ball.tsv"
+        save_ball(build_ball(*limits), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestLoadAgainstReference:

@@ -274,8 +274,8 @@ class TestInputErrors:
 def inputs(tmp_path_factory):
     """Rank-2 and rank-3 balls, a ball file whose header declares depth 0,
     a rank-2 training set, rank-2 and rank-3 metric files and ensemble
-    models, a metrics file with no metrics, an empty certificate and a file
-    that is not UTF-8."""
+    models, a model whose numbers are not finite, a metrics file with no
+    metrics, an empty certificate and a file that is not UTF-8."""
     root = tmp_path_factory.mktemp("inputs")
     assert main(["ball", "--max-total-length", "6", "--max-depth", "3",
                  "--out", str(root / "ball.tsv")]) == 0
@@ -294,6 +294,9 @@ def inputs(tmp_path_factory):
     )
     (root / "model3.txt").write_text(
         "# actriv-ensemble rank=3 intercept=0.0\n1.0\tconj:0:c\n"
+    )
+    (root / "model-nan.txt").write_text(
+        "# actriv-ensemble rank=2 intercept=nan\ninf\tconj:0:b\n"
     )
     (root / "t1.moves").write_text("-\n")
     (root / "binary.tsv").write_bytes(b"\x89PNG\r\n")
@@ -392,6 +395,9 @@ class TestInputBoundary:
             (["verify", "--instance", "T1", "--ball", "{d}/ball3.tsv",
               "--sequence", "{d}/t1.moves"],
              "a rank 3 ball cannot check a rank 2 instance"),
+            (["solve", "--instance", "AK3", "--ball", "{d}/ball.tsv",
+              "--model", "{d}/model-nan.txt", "--out", "{d}/x.jsonl"],
+             "{d}/model-nan.txt: header intercept 'nan' is not finite"),
             (["ball", "--max-total-length", "4", "--max-depth", "2",
               "--out", "{d}/missing/b.tsv"],
              "{d}/missing/b.tsv: No such file or directory"),
@@ -407,8 +413,8 @@ class TestInputBoundary:
              "solve-ball-header", "solve-rank", "solve-ball-rank",
              "solve-relator-cap", "solve-instance-over-cap",
              "solve-max-generations", "solve-time-budget", "solve-probability",
-             "solve-workers", "learn-workers", "verify-ball-rank", "out-directory",
-             "not-utf8"],
+             "solve-workers", "learn-workers", "verify-ball-rank",
+             "solve-model-nan", "out-directory", "not-utf8"],
     )
     def test_one_line(self, inputs, argv, message):
         code, out, err = run_fresh([arg.format(d=inputs) for arg in argv])

@@ -296,8 +296,12 @@ class TestModelsAndPersistence:
             ),
             # a header alone would give multi mode no objective at all
             ("# actriv-objectives rank=2\n\n", "objectives.txt: no objectives"),
+            (
+                "# actriv-objectives rank=2 rank=3\ninv:1\n",
+                "objectives.txt: header key 'rank' is given twice",
+            ),
         ],
-        ids=["rank", "sequence", "empty"],
+        ids=["rank", "sequence", "empty", "rank-twice"],
     )
     def test_objectives_reject_malformed_file(self, tmp_path, text, message):
         path = tmp_path / "objectives.txt"
@@ -344,10 +348,28 @@ class TestModelsAndPersistence:
             ),
             # a header alone would be a constant model
             ("# actriv-ensemble rank=2 intercept=3.5\n", "model.txt: no metrics"),
+            # a model that is not finite scores every candidate NaN
+            (
+                "# actriv-ensemble rank=2 intercept=nan\n1.0\tinv:0\n",
+                "model.txt: header intercept 'nan' is not finite",
+            ),
+            (
+                "# actriv-ensemble rank=2 intercept=0.5\n1.0\tinv:0\ninf\t-\n",
+                "model.txt:3: weight 'inf' is not finite",
+            ),
+            (
+                "# actriv-ensemble rank=2 intercept=0.5\n-inf\tinv:0\n",
+                "model.txt:2: weight '-inf' is not finite",
+            ),
+            (
+                "# actriv-ensemble rank=2 intercept=1.0 intercept=nan\n1.0\tinv:0\n",
+                "model.txt: header key 'intercept' is given twice",
+            ),
         ],
         ids=[
             "rank", "intercept", "intercept-value", "weight", "weights", "move",
-            "colon", "metrics", "empty",
+            "colon", "metrics", "empty", "intercept-nan", "weight-inf",
+            "weight-minus-inf", "intercept-twice",
         ],
     )
     def test_ensemble_rejects_malformed_file(self, tmp_path, text, message):

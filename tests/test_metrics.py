@@ -437,8 +437,12 @@ class TestPersistence:
             ("# actriv-metrics runs=2\n", "metrics.txt: header has no 'rank'"),
             ("# actriv-metrics rank=2\ninv:0\n\nmul:0:7\n", "metrics.txt:4: bad move"),
             ("# actriv-metrics rank=2 runs=0\n\n", "metrics.txt: no metrics"),
+            (
+                "# actriv-metrics rank=2 runs=2 rank=3\ninv:0\n",
+                "metrics.txt: header key 'rank' is given twice",
+            ),
         ],
-        ids=["rank", "sequence", "empty"],
+        ids=["rank", "sequence", "empty", "rank-twice"],
     )
     def test_rejects_malformed_file(self, tmp_path, text, message):
         path = tmp_path / "metrics.txt"

@@ -30,6 +30,7 @@ from actriv.presentations import (
     trivial_presentation,
 )
 from actriv.words import free_reduce
+import reference_words
 
 
 class TestParse:
@@ -114,6 +115,24 @@ class TestFormat:
         assert format_word((2, -2), 2) == "bB"  # unreduced words never arise
         assert format_word((1, 1, 2, -1, -2), 2) == "a^2bAB"
         assert format_word((-2, -2, -2), 2) == "B^3"
+        assert format_word((1, 1, -27, 3), 27) == "x0^2X26x2"
+
+    @given(rank=st.sampled_from([1, 2, 3, 27]), data=st.data())
+    def test_format_word_matches_reference(self, rank, data):
+        # a few of the rank's letters, so that runs are common
+        every = [s * g for g in range(1, rank + 1) for s in (1, -1)]
+        letters = data.draw(st.lists(st.sampled_from(every), min_size=1, max_size=4))
+        w = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=24)))
+        assert format_word(w, rank) == reference_words.format_word(w, rank)
+
+    @pytest.mark.parametrize(
+        "w, rank, letter",
+        [((5, -3), 2, 5), ((1, -3), 2, -3), ((1, 0, 1), 2, 0), ((-28,), 27, -28)],
+    )
+    def test_format_word_rejects_a_letter_outside_the_rank(self, w, rank, letter):
+        message = f"^letter {letter} out of range for rank {rank}$"
+        with pytest.raises(ValueError, match=message):
+            format_word(w, rank)
 
     def test_round_trip_catalog(self):
         for record in catalog() + auxiliary_catalog():

@@ -121,9 +121,6 @@ class Ball:
             hops += 1
         return hops
 
-    def depth_of(self, p: Presentation) -> int | None:
-        return None if (key := self.key_of(p)) is None else self.depth(key)
-
     def __contains__(self, p: Presentation) -> bool:
         return self.key_of(p) is not None
 
@@ -147,15 +144,14 @@ class BallPathError(RuntimeError):
 
 
 class BallCapacityError(RuntimeError):
-    """Raised when the member cap is hit; carries the partial ball."""
+    """Raised when the member cap is hit."""
 
-    def __init__(self, partial: Ball, max_members: int):
+    def __init__(self, ball: Ball, max_members: int):
         super().__init__(
             f"ball exceeded {max_members} members "
-            f"(rank {partial.rank}, cap {partial.max_total_length}, "
-            f"depth {partial.max_depth})"
+            f"(rank {ball.rank}, cap {ball.max_total_length}, "
+            f"depth {ball.max_depth})"
         )
-        self.partial = partial
 
 
 def _root(rank: int) -> tuple[BallKey, dict[Word, Word]]:
@@ -517,8 +513,6 @@ def load_ball(path: str) -> Ball:
             ball._add(key, parent, index, depth)
             order.append(key)
             depths.append(depth)
-    if not members:
-        raise ValueError(f"{path}: empty ball file")
     return ball
 
 

@@ -34,7 +34,8 @@ from .presentations import MoveSequence, Presentation
 
 
 def _read_config(path: str) -> dict[str, tuple[str, str]]:
-    """The config file's ``key -> (path:line, value)``."""
+    """The config file's ``key -> (path:line, value)``; a key given twice
+    is an error."""
     values: dict[str, tuple[str, str]] = {}
     with formats.open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -44,7 +45,11 @@ def _read_config(path: str) -> dict[str, tuple[str, str]]:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected key=value")
             key, value = line.split("=", 1)
-            values[key.strip()] = (f"{path}:{line_no}", value.strip())
+            key = key.strip()
+            where = f"{path}:{line_no}"
+            if key in values:
+                raise ValueError(f"{where}: config key {key!r} is given twice")
+            values[key] = (where, value.strip())
     return values
 
 
@@ -126,13 +131,15 @@ def _load_instance(args) -> tuple[str, Presentation]:
 
 
 def _cmd_catalog(args) -> int:
-    records = catalog_mod.catalog()
-    if args.auxiliary:
-        records = records + catalog_mod.auxiliary_catalog()
     if args.id:
-        records = [r for r in records if r.id == args.id]
-        if not records:
-            raise ValueError(f"unknown instance {args.id!r}")
+        try:
+            records = [catalog_mod.get_instance(args.id)]
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+    else:
+        records = catalog_mod.catalog()
+        if args.auxiliary:
+            records += catalog_mod.auxiliary_catalog()
     for r in records:
         length = "-" if r.known_length is None else str(r.known_length)
         print(f"{r.id}\t{notation.format_presentation(r.presentation)}\t{length}")

@@ -200,8 +200,6 @@ def load_ensemble(path: str) -> ScalarEnsemble:
         for where, (weight, sequence) in records:
             weights.append(formats.parse_float(weight, "weight", where))
             metrics.append(formats.parse_sequence(sequence, rank, where))
-    if not metrics:
-        raise ValueError(f"{path}: no metrics")
     return ScalarEnsemble(EnsembleWeights(weights, intercept), MetricSet(rank, metrics))
 
 
@@ -218,6 +216,4 @@ def load_objectives(path: str) -> ObjectiveSet:
         objectives = [
             formats.parse_sequence(text, rank, where) for where, (text,) in records
         ]
-    if not objectives:
-        raise ValueError(f"{path}: no objectives")
     return ObjectiveSet(rank=rank, objectives=objectives)

@@ -1,7 +1,8 @@
 """The text layer under every actriv file.
 
 An actriv file starts with a header line ``# actriv-<kind> key=value ...``
-and holds one record per non-blank line after it, as tab-separated fields.
+and holds one record per non-blank line after it, as tab-separated fields;
+every file holds at least one record.
 This module reads and writes that layer: the header, the records, the
 field parsers, and the one writer, which writes to a temporary file and
 renames it over the target so a reader never sees a partial file.  Every
@@ -77,6 +78,7 @@ def _parse_header(line: str, kind: str, path: str) -> Header:
 
 
 def _records(lines: Iterable[str], path: str, count: int):
+    where = None
     for line_no, line in enumerate(lines, start=2):
         line = line.strip()
         if not line:
@@ -88,13 +90,16 @@ def _records(lines: Iterable[str], path: str, count: int):
                 f"{where}: expected {count} tab-separated fields, got {len(fields)}"
             )
         yield where, fields
+    if where is None:
+        raise ValueError(f"{path}: no records")
 
 
 @contextmanager
 def read_file(path: str, kind: str, count: int):
     """Open the ``kind`` file at ``path``; gives its ``Header`` and an
     iterator of ``(path:line, fields)``, one per record of ``count``
-    fields.  Lines are read as the iterator advances, never all at once."""
+    fields.  Lines are read as the iterator advances, never all at once;
+    a file with no record raises when the iterator ends."""
     with open_text(path) as fh:
         header = _parse_header(fh.readline(), kind, path)
         yield header, _records(fh, path, count)

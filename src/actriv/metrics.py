@@ -65,6 +65,8 @@ class GaConfig:
     relator_length_cap: int = 200
 
     def validate(self) -> None:
+        if self.tournament_size < 1:
+            raise ValueError("tournament_size must be >= 1")
         for name in ("p_insert", "p_replace", "p_delete"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -158,15 +160,8 @@ def _run_installed(seed: int):
 def metric_value(d: MoveSequence, p: Presentation, cap: int) -> int:
     """Total relator length after applying d to p; cap acts as the worst
     value if any intermediate reaches it."""
-    rels = list(p.relators)
-    total = sum(map(len, rels))
-    if total >= cap:
-        return cap
-    for m in d:
-        total += apply_to_relators(rels, m)
-        if total >= cap:
-            return cap
-    return total
+    total = _walk(list(p.relators), sum(map(len, p.relators)), d, cap)
+    return cap if total is None else total
 
 
 def metric_values(
@@ -185,12 +180,7 @@ def metric_values(
     plan = _resume_plan(sorted(set(seqs)))
     rows = [[] for _ in plan]
     for p in presentations:
-        start = sum(map(len, p.relators))
-        if start >= cap:
-            for row in rows:
-                row.append(cap)
-            continue
-        kept = {0: (p.relators, start)}
+        kept = {0: (p.relators, sum(map(len, p.relators)))}
         for (d, resume, stops), row in zip(plan, rows):
             state = kept[resume]
             depth, total = resume, None
@@ -240,8 +230,11 @@ def _resume_plan(order: list[MoveSequence]) -> list[tuple]:
 
 
 def _walk(rels: list, total: int, moves: MoveSequence, cap: int) -> int | None:
-    """Apply moves to rels in place; the new total, or None once it
-    reaches cap."""
+    """Apply moves to rels, whose total relator length is ``total``, in
+    place; the new total, or None if the start or any later state reaches
+    cap."""
+    if total >= cap:
+        return None
     for m in moves:
         total += apply_to_relators(rels, m)
         if total >= cap:
@@ -377,7 +370,6 @@ def evolve_metric(
 
     def evaluate(population: list[MoveSequence]) -> list[float]:
         fresh = [d for d in population if lo <= len(d) <= hi and d not in scored]
-        fresh = list(dict.fromkeys(fresh))
         for d, values in zip(fresh, metric_values(fresh, cases, cap)):
             scored[d] = _fitness(values, distances, kind)
         return [scored.get(d, SENTINEL_FITNESS) for d in population]
@@ -435,7 +427,5 @@ def load_metric_set(path: str) -> MetricSet:
         metrics = [
             formats.parse_sequence(text, rank, where) for where, (text,) in records
         ]
-    if not metrics:
-        raise ValueError(f"{path}: no metrics")
     meta = {key: value for key, value in header.fields.items() if key != "rank"}
     return MetricSet(rank=rank, metrics=metrics, meta=meta)

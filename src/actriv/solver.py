@@ -90,8 +90,9 @@ class Evaluation:
     status: str  # "ok" | "penalized" | "success"
     reason: str | None = None
     prefix_length: int | None = None
-    scalar: float | None = None
-    objectives: tuple[float, ...] | None = None
+    # the model's value of the final state when "ok": the scalar in single
+    # mode, the objective tuple in multi mode
+    value: float | tuple[float, ...] | None = None
 
 
 @dataclass
@@ -201,9 +202,7 @@ def evaluate_candidate(
         else:
             value = objective_values(model, p, length_cap)
         scored[final] = value
-    if cfg.mode == "single":
-        return Evaluation("ok", scalar=value)
-    return Evaluation("ok", objectives=value)
+    return Evaluation("ok", value=value)
 
 
 def nondominated_sort(points) -> list[int]:
@@ -281,12 +280,12 @@ def _selection_keys(evals: list[Evaluation], mode: str) -> list[tuple]:
     after every unpenalized key."""
     if mode == "single":
         return [
-            (e.scalar,) if e.status == "ok" else (WORST_SCALAR,) for e in evals
+            (e.value,) if e.status == "ok" else (WORST_SCALAR,) for e in evals
         ]
     ok_indices = [i for i, e in enumerate(evals) if e.status == "ok"]
     keys: list[tuple] = [(math.inf, 0.0)] * len(evals)
     if ok_indices:
-        points = [evals[i].objectives for i in ok_indices]
+        points = [evals[i].value for i in ok_indices]
         ranks = nondominated_sort(points)
         by_rank: dict[int, list[int]] = {}
         for pos, i in enumerate(ok_indices):
@@ -370,7 +369,7 @@ def run_search(
             return finish("solved", population[idx], prefix)
         if cfg.mode == "single":
             gen_best = min(
-                (e.scalar for e in evals if e.status == "ok"), default=math.inf
+                (e.value for e in evals if e.status == "ok"), default=math.inf
             )
             if gen_best < (trajectory[-1][1] if trajectory else math.inf):
                 trajectory.append((generation, gen_best))

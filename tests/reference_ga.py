@@ -143,7 +143,7 @@ def reference_run_search(
             return finish("solved", population[idx], prefix)
         if cfg.mode == "single":
             gen_best = min(
-                (e.scalar for e in evals if e.status == "ok"), default=math.inf
+                (e.value for e in evals if e.status == "ok"), default=math.inf
             )
             if gen_best < best_scalar:
                 best_scalar = gen_best

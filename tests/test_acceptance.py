@@ -119,7 +119,7 @@ class TestCriterion3BfsOracle:
         training = sample_cases(ball, 200, rng_seed=55)
         assert len(training.cases) == 200
         for case in training.cases:
-            assert case.distance == ball.depth_of(case.presentation)
+            assert case.distance == ball.depth(ball.key_of(case.presentation))
         elapsed = time.monotonic() - t0
         report(
             "3 (BFS oracle equivalence)",

@@ -136,12 +136,15 @@ class TestBuildBall:
         assert ball.depth_census() == dict(enumerate(ball.census))
         assert len(ball.moves) == len(ball)
 
-    def test_capacity_error_carries_partial(self):
-        with pytest.raises(BallCapacityError) as info:
-            build_ball(2, 10, 6, max_members=50)
-        partial = info.value.partial
-        assert isinstance(partial, Ball)
-        assert len(partial) == 51
+    def test_member_cap(self):
+        members = len(build_ball(2, 10, 6))
+        assert len(build_ball(2, 10, 6, max_members=members)) == members
+        cap = members - 1
+        with pytest.raises(
+            BallCapacityError,
+            match=rf"^ball exceeded {cap} members \(rank 2, cap 10, depth 6\)$",
+        ):
+            build_ball(2, 10, 6, max_members=cap)
 
     def test_parent_links_consistent(self):
         ball = build_ball(2, 8, 4)
@@ -279,7 +282,7 @@ class TestSampling:
         ball = build_ball(2, 8, 4)
         training = sample_cases(ball, 50, rng_seed=1)
         for case in training.cases:
-            assert ball.depth_of(case.presentation) == case.distance
+            assert ball.depth(ball.key_of(case.presentation)) == case.distance
 
     def test_deterministic(self):
         ball = build_ball(2, 8, 4)
@@ -432,8 +435,6 @@ class TestKeyOf:
         expected = key if key in query_ball.members else None
         assert query_ball.key_of(p) == expected
         assert (p in query_ball) == (expected is not None)
-        depth = None if expected is None else query_ball.depth(key)
-        assert query_ball.depth_of(p) == depth
         if must_be_member:
             assert expected is not None
 
@@ -650,6 +651,12 @@ class TestPersistence:
         path = tmp_path / "train.tsv"
         path.write_text("# actriv-training\n<a,b|a,b>\t0\n")
         with pytest.raises(ValueError, match="train.tsv: header has no 'rank'"):
+            load_training(str(path))
+
+    def test_training_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "train.tsv"
+        path.write_text("# actriv-training rank=2\n\n")
+        with pytest.raises(ValueError, match="train.tsv: no records$"):
             load_training(str(path))
 
     def test_training_rejects_repeated_header_key(self, tmp_path):

@@ -52,6 +52,11 @@ class TestCatalogCommand:
         code, out = run(["catalog", "--auxiliary"], capsys)
         assert any(line.startswith("T83\t") for line in out.splitlines())
 
+    def test_single_auxiliary_id(self, capsys):
+        code, out = run(["catalog", "--id", "T83"], capsys)
+        assert code == 0
+        assert out == "T83\t<a,b|a^2bABaBaB,b^2aBAbAbA>\t-\n"
+
 
 class TestPipeline:
     def test_ball_sample_learn_fit_solve(self, tmp_path, capsys):
@@ -298,6 +303,8 @@ def inputs(tmp_path_factory):
     (root / "model-nan.txt").write_text(
         "# actriv-ensemble rank=2 intercept=nan\ninf\tconj:0:b\n"
     )
+    (root / "empty-train.tsv").write_text("# actriv-training rank=2\n\n")
+    (root / "c.cfg").write_text("restarts=0\nrestarts=2\n")
     (root / "t1.moves").write_text("-\n")
     (root / "binary.tsv").write_bytes(b"\x89PNG\r\n")
     return root
@@ -354,7 +361,7 @@ class TestInputBoundary:
              "none of the 1 metrics varies over the training set"),
             (["fit", "--metrics", "{d}/metrics0.txt", "--train", "{d}/train.tsv",
               "--out", "{d}/x.txt"],
-             "{d}/metrics0.txt: no metrics"),
+             "{d}/metrics0.txt: no records"),
             (["solve", "--instance", "T1", "--ball", "{d}/ball-depth0.tsv",
               "--model", "{d}/model2.txt", "--out", "{d}/x.jsonl"],
              "{d}/ball-depth0.tsv: max_depth must be >= 1"),
@@ -398,6 +405,16 @@ class TestInputBoundary:
             (["solve", "--instance", "AK3", "--ball", "{d}/ball.tsv",
               "--model", "{d}/model-nan.txt", "--out", "{d}/x.jsonl"],
              "{d}/model-nan.txt: header intercept 'nan' is not finite"),
+            (["solve", "--instance", "AK3", "--ball", "{d}/ball.tsv",
+              "--model", "{d}/model2.txt", "--tournament-size", "0",
+              "--out", "{d}/x.jsonl"],
+             "--tournament-size: tournament_size must be >= 1"),
+            (["solve", "--instance", "AK3", "--ball", "{d}/ball.tsv",
+              "--model", "{d}/model2.txt", "--config", "{d}/c.cfg",
+              "--out", "{d}/x.jsonl"],
+             "{d}/c.cfg:2: config key 'restarts' is given twice"),
+            (["learn", "--train", "{d}/empty-train.tsv", "--out", "{d}/x.txt"],
+             "{d}/empty-train.tsv: no records"),
             (["ball", "--max-total-length", "4", "--max-depth", "2",
               "--out", "{d}/missing/b.tsv"],
              "{d}/missing/b.tsv: No such file or directory"),
@@ -414,7 +431,8 @@ class TestInputBoundary:
              "solve-relator-cap", "solve-instance-over-cap",
              "solve-max-generations", "solve-time-budget", "solve-probability",
              "solve-workers", "learn-workers", "verify-ball-rank",
-             "solve-model-nan", "out-directory", "not-utf8"],
+             "solve-model-nan", "solve-tournament-size", "solve-config-repeated-key",
+             "learn-empty-training", "out-directory", "not-utf8"],
     )
     def test_one_line(self, inputs, argv, message):
         code, out, err = run_fresh([arg.format(d=inputs) for arg in argv])

@@ -295,7 +295,7 @@ class TestModelsAndPersistence:
                 "objectives.txt:3: bad move",
             ),
             # a header alone would give multi mode no objective at all
-            ("# actriv-objectives rank=2\n\n", "objectives.txt: no objectives"),
+            ("# actriv-objectives rank=2\n\n", "objectives.txt: no records$"),
             (
                 "# actriv-objectives rank=2 rank=3\ninv:1\n",
                 "objectives.txt: header key 'rank' is given twice",
@@ -347,7 +347,7 @@ class TestModelsAndPersistence:
                 "model.txt: header has no 'rank'",
             ),
             # a header alone would be a constant model
-            ("# actriv-ensemble rank=2 intercept=3.5\n", "model.txt: no metrics"),
+            ("# actriv-ensemble rank=2 intercept=3.5\n", "model.txt: no records$"),
             # a model that is not finite scores every candidate NaN
             (
                 "# actriv-ensemble rank=2 intercept=nan\n1.0\tinv:0\n",

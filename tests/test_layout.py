@@ -1,8 +1,8 @@
 """Structural checks over the source of ``actriv``: ``formats`` is a leaf
 module under the rest, it holds the only code that writes files, the ball
 is built and loaded by one child rule, ball membership is one ``Ball``
-query, only ``cli.main`` exits, and every name the benchmark's tracer wraps
-exists."""
+query, only ``cli.main`` exits, every name the benchmark's tracer wraps
+exists, and every public name is used outside the tests."""
 
 import ast
 import importlib.util
@@ -16,6 +16,7 @@ import actriv
 PACKAGE = Path(actriv.__file__).parent
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 FORMATS_IMPORTS = {"notation", "presentations", "words"}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def parse(name):
@@ -142,6 +143,16 @@ def test_checks_see_violations():
         "def g():\n    return 0\n"
     )
     assert scopes_naming(tree, "SystemExit") == {"<module>", "f", "C"}
+    tree = ast.parse(
+        "def f():\n    return f()\n"
+        "class C:\n    def m(self):\n        pass\n"
+        "    def n(self):\n        return self.m()\n"
+        "def _g():\n    pass\n"
+    )
+    assert unused_public_names({"a": tree}, ["a"]) == ["a.f", "a.C", "a.C.n"]
+    assert unused_public_names({"a": tree, "b": ast.parse("a.f(C)")}, ["a"]) == [
+        "a.C.n"
+    ]
 
 
 @pytest.mark.parametrize("function", ["build_ball", "load_ball"])
@@ -187,3 +198,54 @@ def test_tracer_targets_exist(monkeypatch):
     assert tracing.TARGETS
     for target in tracing.TARGETS:
         assert callable(target.get()), target.label
+
+
+def public_definitions(tree):
+    """Each public top-level function and class of the module, and each
+    public method of its classes, as ``(qualified name, node)``."""
+    for node in tree.body:
+        if not isinstance(node, DEFINITIONS) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, DEFINITIONS) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def references(tree):
+    """``(name, line)`` of each plain name and attribute in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def unused_public_names(sources, checked):
+    """Public names of the ``checked`` modules that no module of
+    ``sources`` (name -> tree) refers to outside their own definition.
+    Names are matched as written, so a method counts as used wherever an
+    attribute of its name is."""
+    used = {}
+    for source, tree in sources.items():
+        for name, line in references(tree):
+            used.setdefault(name, []).append((source, line))
+    unused = []
+    for module in checked:
+        for qualified, node in public_definitions(sources[module]):
+            if not any(
+                source != module or not node.lineno <= line <= node.end_lineno
+                for source, line in used.get(node.name, [])
+            ):
+                unused.append(f"{module}.{qualified}")
+    return unused
+
+
+def test_every_public_name_is_used():
+    """Each public function, class and method of ``actriv`` is used by the
+    library itself or by the benchmark, not only by the tests."""
+    sources = {name: parse(name) for name in modules()}
+    for path in sorted(TRACING.parent.glob("*.py")):
+        sources[f"bench/{path.name}"] = ast.parse(path.read_text(encoding="utf-8"))
+    assert unused_public_names(sources, modules()) == []

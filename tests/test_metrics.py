@@ -118,6 +118,15 @@ class TestMetricValue:
             assert metric_value(seq, p, cap) == expected
 
 
+def reference_value(d, p, cap):
+    """``metric_value`` from the reference trace: the last total, or cap
+    once any state of the trace reaches it."""
+    for rels in reference_trace(p.relators, d):
+        if total(rels) >= cap:
+            return cap
+    return total(rels)
+
+
 @st.composite
 def walk_inputs(draw):
     """Sequences of one rank that share prefixes, repeat one another and
@@ -164,6 +173,27 @@ class TestMetricValues:
         seqs = [(g, i, g), (g,), (g, i)]
         assert metric_values(seqs, [t1], 14) == [[10], [13], [13]]
         assert metric_values(seqs, [t1], 13) == [[13], [13], [13]]
+
+    def test_capped_and_uncapped_starts_in_one_call(self):
+        # AK3 starts past the cap and T1 below it; T1's walks reach the cap
+        # from some prefixes and not from others
+        rng = random.Random(5)
+        moves = enumerate_moves(2)
+        t1, ak3 = (get_instance(name).presentation for name in ("T1", "AK3"))
+        cap = total(ak3.relators) - 1
+        presentations = [t1, ak3, t1]
+        stems = [tuple(rng.choices(moves, k=6)) for _ in range(3)]
+        seqs = [()] + [
+            stem[: rng.randrange(7)] + tuple(rng.choices(moves, k=rng.randrange(4)))
+            for stem in stems
+            for _ in range(10)
+        ]
+        rows = metric_values(seqs, presentations, cap)
+        assert rows == [
+            [reference_value(d, p, cap) for p in presentations] for d in seqs
+        ]
+        assert {row[1] for row in rows} == {cap}
+        assert {row[0] == cap for row in rows} == {True, False}
 
     def test_start_at_cap(self):
         t1 = get_instance("T1").presentation
@@ -436,7 +466,7 @@ class TestPersistence:
         [
             ("# actriv-metrics runs=2\n", "metrics.txt: header has no 'rank'"),
             ("# actriv-metrics rank=2\ninv:0\n\nmul:0:7\n", "metrics.txt:4: bad move"),
-            ("# actriv-metrics rank=2 runs=0\n\n", "metrics.txt: no metrics"),
+            ("# actriv-metrics rank=2 runs=0\n\n", "metrics.txt: no records$"),
             (
                 "# actriv-metrics rank=2 runs=2 rank=3\ninv:0\n",
                 "metrics.txt: header key 'rank' is given twice",

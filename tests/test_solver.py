@@ -350,7 +350,7 @@ class TestEvaluateCandidate:
             s, get_instance("AK3").presentation, scalar_model, small_ball, cfg
         )
         assert out.status == "ok"
-        assert out.scalar is not None
+        assert isinstance(out.value, float)
 
     def test_matches_reference_replay(self, small_ball, scalar_model):
         rng = random.Random(17)
@@ -450,7 +450,8 @@ class TestEvaluateCandidate:
             s, get_instance("AK3").presentation, objective_model, small_ball, cfg
         )
         assert out.status == "ok"
-        assert len(out.objectives) == len(objective_model)
+        assert isinstance(out.value, tuple)
+        assert len(out.value) == len(objective_model)
 
 
 def counting_calls(monkeypatch):
@@ -1058,6 +1059,12 @@ class TestConfigValidation:
     def test_relator_length_cap(self):
         with pytest.raises(ValueError, match="^relator_length_cap must be >= 1$"):
             SolverConfig(relator_length_cap=0).validate()
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_tournament_size(self, size):
+        with pytest.raises(ValueError, match="^tournament_size must be >= 1$"):
+            SolverConfig(tournament_size=size).validate()
+        SolverConfig(population_size=1, tournament_size=1).validate()
 
     @pytest.mark.parametrize(
         "field, value, message",

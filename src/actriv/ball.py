@@ -26,8 +26,11 @@ Membership of a presentation is membership of its canonical class, as
 trivial class.  It takes each move as the first one that ``_child`` finds
 from the parent to the member, which is the move the BFS recorded.
 Because parent links connect canonical representatives, the replay path
-interleaves inverse moves with rotation/inversion alignment moves and is
-therefore usually longer than the BFS depth.
+interleaves inverse moves with alignment moves and is therefore usually
+longer than the BFS depth.  An alignment carries a relator to its
+canonical form by the rotation that ``words.canonical_rotation`` names,
+the one ``canonical_rep`` takes: an inversion if it picks the inverse,
+then one conjugation per letter rotated.
 """
 
 from __future__ import annotations
@@ -52,13 +55,7 @@ from .presentations import (
     inverse_moves,
     trivial_presentation,
 )
-from .words import (
-    Word,
-    canonical_rep,
-    invert_word,
-    is_cyclically_reduced,
-    shortlex_cmp,
-)
+from .words import Word, canonical_rep, canonical_rotation, shortlex_cmp
 
 BallKey = tuple[Word, ...]
 
@@ -307,32 +304,14 @@ def sample_cases(ball: Ball, count: int, rng_seed: int) -> TrainingSet:
 # path reconstruction
 
 
-def _rotation_path(w: Word, target: Word, i: int) -> list[AcMove] | None:
-    """Conjugation moves at relator i realizing a cyclic rotation w -> target."""
-    if w == target:
-        return []
-    if not is_cyclically_reduced(w) or len(w) != len(target):
-        return None
-    doubled = w + w
-    n = len(w)
-    for k in range(1, n):
-        if doubled[k : k + n] == target:
-            # conjugating a cyclically reduced word by the inverse of its
-            # first letter rotates it left by one
-            return [(CONJUGATE, i, -w[j]) for j in range(k)]
-    return None
-
-
 def _moves_to_canonical(w: Word, i: int) -> list[AcMove]:
-    """Moves at relator i carrying w to canonical_rep(w)."""
-    target = canonical_rep(w)
-    path = _rotation_path(w, target, i)
-    if path is not None:
-        return path
-    path = _rotation_path(invert_word(w), target, i)
-    if path is None:
-        raise BallPathError("canonical representative unreachable by rotation")
-    return [(INVERT, i, 0)] + path
+    """Moves at relator i carrying w to canonical_rep(w): an inversion if
+    ``canonical_rotation`` picks w's inverse, then one conjugation per
+    letter of its left rotation.  Conjugating a cyclically reduced word by
+    the inverse of its first letter rotates it left by one."""
+    word, k = canonical_rotation(w)
+    moves = [] if word == w else [(INVERT, i, 0)]
+    return moves + [(CONJUGATE, i, -word[j]) for j in range(k)]
 
 
 def _align(current: list[Word], target: BallKey, path: list[AcMove]) -> list[int]:

@@ -279,6 +279,8 @@ def _cmd_verify(args) -> int:
     else:
         print(listing)
     if not result.verified:
+        if args.out:
+            print(f"{instance_id}: NOT verified: {result.failure}")
         return 1
     print(f"{instance_id}: verified, trivialization length {result.prefix_length}")
     return 0

@@ -10,6 +10,10 @@ lengths compared letter-wise with generator index ascending and the
 positive letter before its inverse (a < A < b < B < ...).
 ``letter_codes`` spells a word in integers of that letter order, so code
 tuples of equal length compare in shortlex order.
+
+``canonical_rotation`` is the one rule for a word's canonical form: it
+names the rotation of the word, or of its inverse, that ``canonical_rep``
+returns, so a certificate can spell the moves that reach that form.
 """
 
 from __future__ import annotations
@@ -82,26 +86,36 @@ def is_cyclically_reduced(w: Word) -> bool:
     return len(w) < 2 or w[0] != -w[-1]
 
 
-def canonical_rep(w: Word) -> Word:
-    """Shortlex-least freely reduced cyclic rotation of w or of its inverse.
+def canonical_rotation(w: Word) -> tuple[Word, int]:
+    """The word (w itself or its inverse) and the left rotation k such that
+    ``canonical_rep(w) == word[k:] + word[:k]``.
 
-    Rotations that are not freely reduced are excluded rather than reduced,
-    so the result always has the same length as w.  For a word that is not
-    cyclically reduced, every nontrivial rotation introduces a cancelling
-    wrap-around pair, leaving only w and its inverse as candidates.
+    The pair is the first in the order rotations of w, then rotations of
+    its inverse, k ascending.  A word that is not cyclically reduced gives
+    k = 0: each of its nontrivial rotations has a cancelling wrap-around
+    pair.
     """
     n = len(w)
     if n == 0:
-        return w
+        return w, 0
     iw = invert_word(w)
     if not is_cyclically_reduced(w):
-        return w if letter_codes(w) <= letter_codes(iw) else iw
+        return (w if letter_codes(w) <= letter_codes(iw) else iw), 0
     # the rotations of w, then of iw, as slices of their doubled codes
     rotations = []
     for word in (w, iw):
         codes = letter_codes(word) * 2
         rotations += [codes[i : i + n] for i in range(n)]
     k = min(range(2 * n), key=rotations.__getitem__)
-    word = w if k < n else iw
-    k %= n
+    return (w, k) if k < n else (iw, k - n)
+
+
+def canonical_rep(w: Word) -> Word:
+    """Shortlex-least freely reduced cyclic rotation of w or of its inverse,
+    as ``canonical_rotation`` picks it.
+
+    Rotations that are not freely reduced are excluded rather than reduced,
+    so the result always has the same length as w.
+    """
+    word, k = canonical_rotation(w)
     return word[k:] + word[:k]

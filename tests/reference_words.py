@@ -1,5 +1,6 @@
 """The word kernel's order and canonical form before letter codes: a key
-per letter, built again for every rotation; and the word speller before
+per letter, built again for every rotation; the canonical rotation found
+by trying each rotation in turn; and the word speller before
 its letter table, which names each run's letter afresh.  Differential
 tests compare ``actriv.words`` and ``actriv.notation.format_word`` against
 these."""
@@ -55,6 +56,17 @@ def canonical_rep(w: Word) -> Word:
                 best_key = key
                 best = rot
     return best
+
+
+def canonical_rotation(w: Word) -> tuple[Word, int]:
+    """The first rotation of w, then of its inverse, that equals
+    ``canonical_rep(w)``: that word and its left rotation."""
+    rep = canonical_rep(w)
+    for word in (w, invert_word(w)):
+        for k in range(max(len(word), 1)):
+            if word[k:] + word[:k] == rep:
+                return word, k
+    raise AssertionError(f"no rotation of {w} or of its inverse is {rep}")
 
 
 def format_letter(letter: int, rank: int) -> str:

@@ -427,6 +427,38 @@ def query_ball():
     return build_ball(2, 8, 4)
 
 
+class TestGoldenLookupPaths:
+    """The sha256 of ``lookup``'s depth and path from scrambled spellings of
+    every 7th member: each relator rotated when it is cyclically reduced,
+    inverted by a coin flip, and the relators shuffled.  Recorded when
+    ``lookup`` still searched for the canonical rotation by equality; the
+    paths pin which rotation of a relator, or of its inverse, each
+    alignment reaches."""
+
+    @pytest.mark.parametrize(
+        "limits, digest",
+        [
+            (
+                (2, 14, 6),
+                "fcf3ee034401fe007e9c33d807ee92a7947d8238c7df7a2d8fd77140cd9d8141",
+            ),
+            (
+                (3, 10, 4),
+                "28a15b6ce4e72f06da71c2f2c3ba5322c6b5f46394b48660a7c2ef462c1b3c65",
+            ),
+        ],
+    )
+    def test_same_paths(self, limits, digest):
+        ball = build_ball(*limits)
+        rng = random.Random(0)
+        sha = hashlib.sha256()
+        for key in list(ball.members)[::7]:
+            rels = [respell(w, rng.randrange(20), rng.random() < 0.5) for w in key]
+            rng.shuffle(rels)
+            sha.update(repr(lookup(ball, Presentation(ball.rank, tuple(rels)))).encode())
+        assert sha.hexdigest() == digest
+
+
 class TestKeyOf:
     @given(data=st.data())
     def test_agrees_with_canonical_lookup(self, query_ball, data):

@@ -516,6 +516,23 @@ class TestVerifyCommand:
         assert code == 1
         assert "NOT verified" in text
 
+    def test_failure_with_out_prints_the_reason(self, tmp_path, capsys):
+        ball = str(tmp_path / "ball.tsv")
+        run(["ball", "--rank", "2", "--max-total-length", "10", "--max-depth", "4",
+             "--out", ball], capsys)
+        seq_file = tmp_path / "ak3.moves"
+        seq_file.write_text("inv:0 inv:0\n")
+        proof_file = tmp_path / "proof.txt"
+        code, text = run(
+            ["verify", "--instance", "AK3", "--sequence", str(seq_file),
+             "--ball", ball, "--out", str(proof_file)],
+            capsys,
+        )
+        reason = "NOT verified: no prefix of the 2-move sequence reaches the ball"
+        assert code == 1
+        assert text.splitlines() == [f"proof listing -> {proof_file}", f"AK3: {reason}"]
+        assert proof_file.read_text().endswith(f"\n{reason}\n")
+
     def test_bad_move_code_names_the_sequence_file(self, tmp_path, capsys):
         ball = str(tmp_path / "ball.tsv")
         run(["ball", "--rank", "2", "--max-total-length", "2", "--max-depth", "1",

@@ -1,8 +1,9 @@
 """Structural checks over the source of ``actriv``: ``formats`` is a leaf
 module under the rest, it holds the only code that writes files, the ball
-is built and loaded by one child rule, ball membership is one ``Ball``
-query, only ``cli.main`` exits, every name the benchmark's tracer wraps
-exists, and every public name is used outside the tests."""
+is built and loaded by one child rule, the certificate path reads the one
+canonical-rotation rule, ball membership is one ``Ball`` query, only
+``cli.main`` exits, every name the benchmark's tracer wraps exists, and
+every public name is used outside the tests."""
 
 import ast
 import importlib.util
@@ -162,6 +163,20 @@ def test_one_child_rule(function):
     calls, refs = names_in(parse("ball"), function)
     assert "_child" in calls
     assert not refs & {"apply_to_relators", "canonical_rep"}
+
+
+def test_one_rotation_rule():
+    """``words.canonical_rotation`` alone says which rotation of a relator,
+    or of its inverse, is canonical; the certificate path reads it and
+    searches for no rotation itself."""
+    tree = parse("ball")
+    calls, _ = names_in(tree, "_moves_to_canonical")
+    assert "canonical_rotation" in calls
+    names = {
+        getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+        for node in ast.walk(tree)
+    }
+    assert not names & {"is_cyclically_reduced", "invert_word"}
 
 
 def test_one_class_query():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import goldens
@@ -89,6 +91,25 @@ class TestPublishedCertificates:
         assert "<a,b|B,aBA^2>" in lines[6]
         assert "entered the trivialization ball" in text
         assert text.endswith("reached the trivial class: verified")
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("T1", "dc4808a601bfe459f5c7c48189a605761444d07ce6a4d1b622e8759048b6421f"),
+            ("T13", "04ca13a7a298933f5532117710c7ad59d1b5d2dd302032c71f083cfa01052438"),
+        ],
+    )
+    def test_same_listing(self, golden_ball, name, digest):
+        # the sha256 of the whole listing, ball steps included, as written
+        # when ``lookup`` still searched for each canonical rotation by
+        # equality
+        proof = verify(
+            get_instance(name).presentation,
+            known_trivializations()[name],
+            golden_ball,
+            name,
+        )
+        assert hashlib.sha256(proof.to_text().encode()).hexdigest() == digest
 
 
 def get_final(p, moves):

@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from actriv.presentations import CONJUGATE, apply_to_relators
 from actriv.words import (
     canonical_rep,
+    canonical_rotation,
     concat_reduce,
     free_reduce,
     invert_word,
@@ -201,6 +202,23 @@ def ranked_words(draw):
     return w
 
 
+@st.composite
+def rotation_words(draw):
+    """A freely reduced word of rank 1, 2, 3 or 27: a plain word of length
+    0-8, a power of one (periodic, like abab), or a conjugate of one (not
+    cyclically reduced)."""
+    rank = draw(st.sampled_from([1, 2, 3, 27]))
+    alphabet = st.sampled_from([x for g in range(1, rank + 1) for x in (g, -g)])
+    w = free_reduce(draw(st.lists(alphabet, max_size=8)))
+    kind = draw(st.sampled_from(["plain", "periodic", "conjugated"]))
+    if kind == "periodic":
+        w = free_reduce(w * draw(st.integers(2, 4)))
+    elif kind == "conjugated":
+        c = draw(alphabet)
+        w = free_reduce((c,) + w + (-c,))
+    return w
+
+
 def all_reduced_words(rank, max_length):
     alphabet = [x for g in range(1, rank + 1) for x in (g, -g)]
     level = [()]
@@ -216,6 +234,16 @@ class TestAgainstReference:
     def test_canonical_rep(self, w):
         assert canonical_rep(w) == reference_words.canonical_rep(w)
 
+    @given(rotation_words())
+    @example(())
+    @example((27,))
+    @example(W("A"))
+    @example(W("abab"))
+    @example(W("BAbA"))
+    @example(W("Aba"))
+    def test_canonical_rotation(self, w):
+        assert canonical_rotation(w) == reference_words.canonical_rotation(w)
+
     @given(st.lists(ranked_words(), max_size=12))
     def test_sort_order(self, ws):
         assert sorted(ws, key=shortlex_key) == sorted(
@@ -227,6 +255,7 @@ class TestAgainstReference:
         assert sum(not is_cyclically_reduced(w) for w in ws) > 100
         for w in ws:
             assert canonical_rep(w) == reference_words.canonical_rep(w)
+            assert canonical_rotation(w) == reference_words.canonical_rotation(w)
         rng = random.Random(12)
         rng.shuffle(ws)
         assert sorted(ws, key=shortlex_key) == sorted(

@@ -9,9 +9,10 @@
     actriv catalog  list the embedded problem instances
 
 Solver settings may come from a key=value config file (--config); explicit
-flags override the file, which overrides built-in defaults; the model
-file sets the search mode.  Only ``main`` exits: bad input of any command
-ends it with the error's message as one line on stderr.
+flags override the file, which overrides built-in defaults, and a flag's
+value parses as a config line's does; the model file sets the search mode.
+Every file is read through ``formats``.  Only ``main`` exits: bad input of
+any command ends it with the error's message as one line on stderr.
 """
 
 from __future__ import annotations
@@ -37,24 +38,19 @@ def _read_config(path: str) -> dict[str, tuple[str, str]]:
     """The config file's ``key -> (path:line, value)``; a key given twice
     is an error."""
     values: dict[str, tuple[str, str]] = {}
-    with formats.open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            where = f"{path}:{line_no}"
-            if key in values:
-                raise ValueError(f"{where}: config key {key!r} is given twice")
-            values[key] = (where, value.strip())
+    for where, line in formats.read_lines(path):
+        if "=" not in line:
+            raise ValueError(f"{where}: expected key=value")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"{where}: config key {key!r} is given twice")
+        values[key] = (where, value.strip())
     return values
 
 
-# each solver setting parses as the type of its default; the model file
-# sets the mode
+# each solver setting parses as the type of its default, from a config
+# line or a flag alike; the model file sets the mode
 _CONFIG_FIELDS = {
     f.name: type(f.default)
     for f in dataclasses.fields(solver_mod.SolverConfig)
@@ -69,23 +65,22 @@ def _solver_config(args) -> tuple[solver_mod.SolverConfig, dict[str, str]]:
     from (setting -> the file line or flag that set it)."""
     cfg = solver_mod.SolverConfig()
     origin = {}
-    if args.config:
-        for key, (where, raw) in _read_config(args.config).items():
-            if key not in _CONFIG_FIELDS:
-                raise ValueError(f"{where}: unknown config key {key!r}")
-            kind = _CONFIG_FIELDS[key]
-            try:
-                setattr(cfg, key, _FLAGS[raw.lower()] if kind is bool else kind(raw))
-            except (KeyError, ValueError):
-                raise ValueError(
-                    f"{where}: {key} {raw!r} is not {_EXPECTED[kind]}"
-                ) from None
-            origin[key] = where
+    settings = list(_read_config(args.config).items()) if args.config else []
     for key in _CONFIG_FIELDS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-            origin[key] = "--" + key.replace("_", "-")
+        raw = getattr(args, key, None)
+        if raw is not None:
+            settings.append((key, ("--" + key.replace("_", "-"), raw)))
+    for key, (where, raw) in settings:
+        if key not in _CONFIG_FIELDS:
+            raise ValueError(f"{where}: unknown config key {key!r}")
+        kind = _CONFIG_FIELDS[key]
+        try:
+            setattr(cfg, key, _FLAGS[raw.lower()] if kind is bool else kind(raw))
+        except (KeyError, ValueError):
+            raise ValueError(
+                f"{where}: {key} {raw!r} is not {_EXPECTED[kind]}"
+            ) from None
+        origin[key] = where
     _located(cfg.validate, origin)
     return cfg, origin
 
@@ -106,9 +101,12 @@ def _located(call, origin: dict[str, str]):
 
 
 def _read_sequence(path: str, rank: int) -> MoveSequence:
-    with formats.open_text(path) as fh:
-        text = " ".join(line.split("#", 1)[0] for line in fh)
-    return formats.parse_sequence(text, rank, path)
+    """The certificate's moves; ``-`` alone is the empty sequence."""
+    lines = formats.read_lines(path)
+    codes = [(where, code) for where, text in lines for code in text.split()]
+    if [code for _, code in codes] == ["-"]:
+        return ()
+    return tuple(formats.parse_move(code, rank, where) for where, code in codes)
 
 
 def _load_instance(args) -> tuple[str, Presentation]:
@@ -117,8 +115,7 @@ def _load_instance(args) -> tuple[str, Presentation]:
     if args.instance_file:
         where = args.instance_file
         name = os.path.splitext(os.path.basename(where))[0]
-        with formats.open_text(where) as fh:
-            text = fh.read().strip()
+        text = "\n".join(line for _, line in formats.read_lines(where))
     else:
         where, name, text = "--instance", "custom", args.instance
     try:
@@ -350,12 +347,9 @@ def main(argv=None) -> int:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--summary")
-    for name, caster in _CONFIG_FIELDS.items():
-        flag = "--" + name.replace("_", "-")
-        if name == "stop_on_first_solve":
-            p.add_argument(flag, action="store_const", const=True, default=None)
-        else:
-            p.add_argument(flag, type=caster, default=None)
+    for name, kind in _CONFIG_FIELDS.items():
+        bare = {"action": "store_const", "const": "true"} if kind is bool else {}
+        p.add_argument("--" + name.replace("_", "-"), **bare)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="verify a move-sequence certificate")

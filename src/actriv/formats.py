@@ -1,8 +1,10 @@
 """The text layer under every actriv file.
 
 An actriv file starts with a header line ``# actriv-<kind> key=value ...``
-and holds one record per non-blank line after it, as tab-separated fields;
-every file holds at least one record.
+and holds one record per line after it, as tab-separated fields; every
+file holds at least one record.  In every file read here, user-written
+ones included, text after ``#`` is a comment and a line holding nothing
+else is skipped; a written file holds no comment but its header.
 This module reads and writes that layer: the header, the records, the
 field parsers, and the one writer, which writes to a temporary file and
 renames it over the target so a reader never sees a partial file.  Every
@@ -77,13 +79,24 @@ def _parse_header(line: str, kind: str, path: str) -> Header:
     return Header(path, fields)
 
 
-def _records(lines: Iterable[str], path: str, count: int):
+def _lines(fh, path: str, start: int):
+    """``(path:line, text)`` of each line of ``fh`` from line ``start`` on,
+    cut at ``#`` and stripped; a line left empty is skipped."""
+    for line_no, line in enumerate(fh, start):
+        text = line.partition("#")[0].strip()
+        if text:
+            yield f"{path}:{line_no}", text
+
+
+def read_lines(path: str) -> list[tuple[str, str]]:
+    """``(path:line, text)`` of each line of a file with no header."""
+    with open_text(path) as fh:
+        return list(_lines(fh, path, 1))
+
+
+def _records(lines, path: str, count: int):
     where = None
-    for line_no, line in enumerate(lines, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"{path}:{line_no}"
+    for where, line in lines:
         fields = line.split("\t")
         if len(fields) != count:
             raise ValueError(
@@ -102,7 +115,7 @@ def read_file(path: str, kind: str, count: int):
     a file with no record raises when the iterator ends."""
     with open_text(path) as fh:
         header = _parse_header(fh.readline(), kind, path)
-        yield header, _records(fh, path, count)
+        yield header, _records(_lines(fh, path, 2), path, count)
 
 
 def write_atomic(path: str, chunks: Iterable[str]) -> None:

@@ -7,8 +7,9 @@ relator.  Generators may equally be declared in the ``x0,x1`` style
 ``a,b,...`` alphabet, so ``parse(format(p)) == p``.
 
 Moves are written ``inv:i``, ``mul:i:j`` and ``conj:i:c`` where ``c`` is
-the conjugator letter (``conj:1:a`` maps relator 1 to ``a r A``).  A move
-sequence is whitespace-separated move codes; the empty sequence is ``-``.
+the conjugator letter in either style (``conj:1:a`` or ``conj:1:x0`` maps
+relator 1 to ``a r A``).  A move sequence is whitespace-separated move
+codes; the empty sequence is ``-``.
 """
 
 from __future__ import annotations
@@ -44,15 +45,18 @@ def generator_name(index: int, rank: int) -> str:
 
 
 @lru_cache(maxsize=None)
+def _letter_tokens(rank: int) -> dict[str, int]:
+    """Name -> letter for each name of a letter at ``rank``: its ``x0``/``X0``
+    name, then the name ``format_letter`` prints; one table per rank."""
+    names = [generator_name(i, rank) for i in range(rank)]
+    return {**_token_map([f"x{i}" for i in range(rank)]), **_token_map(names)}
+
+
+@lru_cache(maxsize=None)
 def _letter_names(rank: int) -> dict[int, str]:
-    """Letter -> its name at ``rank``, for every letter of the rank; one
-    table per rank."""
-    names = {}
-    for g in range(1, rank + 1):
-        name = generator_name(g - 1, rank)
-        names[g] = name
-        names[-g] = name[0].upper() + name[1:]
-    return names
+    """Letter -> the name ``format_letter`` prints, the last of its names
+    in ``_letter_tokens``."""
+    return {letter: name for name, letter in _letter_tokens(rank).items()}
 
 
 def _out_of_range(letter: int, rank: int) -> ValueError:
@@ -176,7 +180,9 @@ def _parse_word(text: str, tokens: dict[str, int], max_len: int) -> list[int]:
 def parse_presentation(text: str) -> Presentation:
     """Parse `< g1,...,gn | w1,...,wn >` into a freely reduced Presentation."""
     body = text.strip()
-    if body.startswith("<") and body.endswith(">"):
+    if body.startswith("<") != body.endswith(">"):
+        raise NotationError(f"unmatched bracket in presentation {text!r}")
+    if body.startswith("<"):
         body = body[1:-1]
     if "|" not in body:
         raise NotationError(f"missing '|' in presentation {text!r}")
@@ -193,21 +199,6 @@ def parse_presentation(text: str) -> Presentation:
         return make_presentation(len(names), relators)
     except ValueError as exc:
         raise NotationError(str(exc)) from exc
-
-
-def _parse_generator_letter(text: str, rank: int) -> int:
-    if rank <= len(_ASCII_GENS) and len(text) == 1:
-        low = text.lower()
-        idx = _ASCII_GENS.find(low)
-        if idx < 0 or idx >= rank:
-            raise NotationError(f"unknown generator symbol {text!r}")
-        return (idx + 1) if text.islower() else -(idx + 1)
-    if text[:1] in ("x", "X") and text[1:].isdigit():
-        idx = int(text[1:])
-        if idx >= rank:
-            raise NotationError(f"generator index {idx} out of range")
-        return (idx + 1) if text[0] == "x" else -(idx + 1)
-    raise NotationError(f"unknown generator symbol {text!r}")
 
 
 def format_move(m: AcMove, rank: int) -> str:
@@ -227,9 +218,11 @@ def parse_move(code: str, rank: int) -> AcMove:
         elif parts[0] == "mul" and len(parts) == 3:
             move = (MULTIPLY, int(parts[1]), int(parts[2]))
         elif parts[0] == "conj" and len(parts) == 3:
-            move = (CONJUGATE, int(parts[1]), _parse_generator_letter(parts[2], rank))
+            move = (CONJUGATE, int(parts[1]), _letter_tokens(rank)[parts[2]])
         else:
             raise NotationError(f"unknown move code {code!r}")
+    except KeyError as exc:  # a conjugator name; str(exc) is its repr
+        raise NotationError(f"bad move code {code!r}: unknown generator symbol {exc}")
     except ValueError as exc:
         raise NotationError(f"bad move code {code!r}: {exc}") from exc
     try:

@@ -596,6 +596,19 @@ class TestPersistence:
         assert loaded.rank == training.rank
         assert loaded.cases == training.cases
 
+    def test_comment_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "ball.tsv"
+        save_ball(build_ball(2, 8, 4), str(path))
+        header, *lines = path.read_text().splitlines(keepends=True)
+        commented = tmp_path / "commented.tsv"
+        commented.write_text(
+            header + "# note\n" + lines[0].rstrip("\n") + "\t# the root\n"
+            + "\n  # depth 1\n" + "".join(lines[1:])
+        )
+        loaded = load_ball(str(commented))
+        assert list(loaded.records()) == list(load_ball(str(path)).records())
+        assert "#" not in "".join(lines)
+
     def test_failed_save_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "ball.tsv"
         save_ball(build_ball(2, 4, 2), str(path))

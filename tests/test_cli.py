@@ -418,6 +418,10 @@ class TestInputBoundary:
             (["ball", "--max-total-length", "4", "--max-depth", "2",
               "--out", "{d}/missing/b.tsv"],
              "{d}/missing/b.tsv: No such file or directory"),
+            (["solve", "--instance", "AK3", "--ball", "{d}/ball.tsv",
+              "--model", "{d}/model2.txt", "--restarts", "2x",
+              "--out", "{d}/x.jsonl"],
+             "--restarts: restarts '2x' is not an integer"),
             (["sample", "--ball", "{d}/binary.tsv", "--count", "3",
               "--out", "{d}/x.tsv"],
              "{d}/binary.tsv: 'utf-8' codec can't decode byte 0x89 in position 0: "
@@ -432,7 +436,8 @@ class TestInputBoundary:
              "solve-max-generations", "solve-time-budget", "solve-probability",
              "solve-workers", "learn-workers", "verify-ball-rank",
              "solve-model-nan", "solve-tournament-size", "solve-config-repeated-key",
-             "learn-empty-training", "out-directory", "not-utf8"],
+             "learn-empty-training", "out-directory", "solve-flag-not-int",
+             "not-utf8"],
     )
     def test_one_line(self, inputs, argv, message):
         code, out, err = run_fresh([arg.format(d=inputs) for arg in argv])
@@ -539,9 +544,30 @@ class TestVerifyCommand:
              "--out", ball], capsys)
         seq_file = tmp_path / "bad.moves"
         seq_file.write_text("inv:0\nmul:0:7\n")
-        with pytest.raises(SystemExit, match="bad.moves: bad move code 'mul:0:7'"):
+        with pytest.raises(SystemExit, match="bad.moves:2: bad move code 'mul:0:7'"):
             main(["verify", "--instance", "T1", "--sequence", str(seq_file),
                   "--ball", ball])
+
+    def test_commented_instance_and_sequence_files(self, tmp_path, capsys):
+        ball = str(tmp_path / "ball.tsv")
+        run(["ball", "--rank", "2", "--max-total-length", "6", "--max-depth", "6",
+             "--out", ball], capsys)
+        inst = tmp_path / "T1.txt"
+        inst.write_text("# the T1 instance\n<a,b|a^2bAB,b^2aBA>  # published\n")
+        seq_file = tmp_path / "t1.moves"
+        moves = format_sequence(known_trivializations()["T1"], 2).split()
+        seq_file.write_text(
+            "# published certificate\n"
+            + " ".join(moves[:3]) + "  # first half\n\n"
+            + " ".join(moves[3:]) + "\n"
+        )
+        code, text = run(
+            ["verify", "--instance-file", str(inst), "--sequence", str(seq_file),
+             "--ball", ball],
+            capsys,
+        )
+        assert code == 0
+        assert "T1: verified, trivialization length 6" in text
 
     def test_literal_instance_text(self, tmp_path, capsys):
         ball = str(tmp_path / "ball.tsv")

@@ -1,9 +1,9 @@
 """Structural checks over the source of ``actriv``: ``formats`` is a leaf
-module under the rest, it holds the only code that writes files, the ball
-is built and loaded by one child rule, the certificate path reads the one
-canonical-rotation rule, ball membership is one ``Ball`` query, only
-``cli.main`` exits, every name the benchmark's tracer wraps exists, and
-every public name is used outside the tests."""
+module under the rest, it holds the only code that opens or writes files,
+the ball is built and loaded by one child rule, the certificate path reads
+the one canonical-rotation rule, ball membership is one ``Ball`` query,
+only ``cli.main`` exits, every name the benchmark's tracer wraps exists,
+and every public name is used outside the tests."""
 
 import ast
 import importlib.util
@@ -124,6 +124,18 @@ def test_only_formats_writes_files():
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert writes(parse("formats"))
+
+
+def test_only_formats_opens_files():
+    """Every file is read through ``formats``, so one line rule (comments,
+    blank lines, ``path:line``) holds for every input."""
+    found = {}
+    for name in modules():
+        if name != "formats":
+            tree = parse(name)
+            found[name] = scopes_naming(tree, "open") | scopes_naming(tree, "open_text")
+    assert {name: scopes for name, scopes in found.items() if scopes} == {}
+    assert scopes_naming(parse("formats"), "open")
 
 
 def test_checks_see_violations():

@@ -480,6 +480,17 @@ class TestPersistence:
         with pytest.raises(ValueError, match=message):
             load_metric_set(str(path))
 
+    def test_comment_lines_are_skipped(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("# actriv-metrics rank=2\ninv:0 conj:1:a\n-\n")
+        commented = tmp_path / "commented.txt"
+        commented.write_text(
+            "# actriv-metrics rank=2\n# note\ninv:0 conj:1:a  # first\n\n-\n"
+        )
+        loaded = load_metric_set(str(commented))
+        assert loaded.metrics == load_metric_set(str(plain)).metrics
+        assert len(loaded.metrics) == 2
+
     def test_empty_sequence_line(self, tmp_path):
         metric_set = MetricSet(rank=2, metrics=[(), (invert_move(0),)])
         path = str(tmp_path / "metrics.txt")

@@ -24,6 +24,7 @@ from actriv.notation import (
     parse_sequence,
 )
 from actriv.presentations import (
+    CONJUGATE,
     enumerate_moves,
     make_presentation,
     total_length,
@@ -48,6 +49,11 @@ class TestParse:
     def test_unbalanced(self):
         with pytest.raises(NotationError):
             parse_presentation("<a,b| aa >")
+
+    @pytest.mark.parametrize("text", ["<a,b|a,b", "a,b|a,b>", " <a,b|a,b> >x"])
+    def test_unmatched_bracket(self, text):
+        with pytest.raises(NotationError, match="^unmatched bracket in presentation"):
+            parse_presentation(text)
 
     def test_unknown_symbol(self):
         with pytest.raises(NotationError):
@@ -151,9 +157,15 @@ class TestFormat:
 
 
 class TestMoveCodes:
-    def test_round_trip_all_rank2(self):
-        for m in enumerate_moves(2):
-            assert parse_move(format_move(m, 2), 2) == m
+    @pytest.mark.parametrize("rank", [1, 2, 3, 27])
+    def test_round_trip_every_move(self, rank):
+        for m in enumerate_moves(rank):
+            assert parse_move(format_move(m, rank), rank) == m
+
+    def test_x_style_conjugators(self):
+        assert parse_move("conj:0:x1", 2) == parse_move("conj:0:b", 2)
+        assert parse_move("conj:0:X0", 2) == parse_move("conj:0:A", 2)
+        assert parse_move("conj:1:X26", 27) == (CONJUGATE, 1, -27)
 
     def test_sequence_round_trip(self):
         seq = known_trivializations()["T13"]
@@ -165,9 +177,13 @@ class TestMoveCodes:
         assert parse_sequence("-", 2) == ()
 
     def test_bad_codes(self):
-        for code in ("frob:1", "inv:9", "mul:0:0", "conj:0:q", "inv:x"):
+        for code in ("frob:1", "inv:9", "mul:0:0", "conj:0:q", "inv:x", "conj:0:x2",
+                     "conj:0:x01"):
             with pytest.raises(NotationError):
                 parse_move(code, 2)
+        symbol = re.escape("bad move code 'conj:0:x2': unknown generator symbol 'x2'")
+        with pytest.raises(NotationError, match=f"^{symbol}$"):
+            parse_move("conj:0:x2", 2)
 
 
 class TestCatalog:
